@@ -97,6 +97,14 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _as_int(value, where: str) -> int:
+    """An integral JSON number (2 or 2.0); 2.5, strings and booleans are rejected."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     """Validate a config document and build the experiment description.
 
@@ -135,6 +143,10 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     if unknown:
         raise ConfigError(f"unknown algo keys: {sorted(unknown)}")
     merged.update(al)
+    if not isinstance(merged["block_refresh"], bool):
+        raise ConfigError(
+            f"algo.block_refresh must be true or false, got {merged['block_refresh']!r}"
+        )
     eps = float(merged["eps"])
     # the outer loop accepts 0 (= no early stop); the inner updates need a
     # positive tolerance, so they fall back to the default in that case
@@ -142,25 +154,28 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     try:
         em_cfg = EmConfig(
             eps=inner_eps,
-            l_max=int(merged["l_max"]),
-            newton_max=int(merged["newton_max"]),
+            l_max=_as_int(merged["l_max"], "algo.l_max"),
+            newton_max=_as_int(merged["newton_max"], "algo.newton_max"),
             newton_tol=inner_eps,
         )
         algo = AlgoConfig(
             gamma_min=gamma,
             lam=float(merged["lambda"]),
             eps=eps,
-            t_max=int(merged["t_max"]),
+            t_max=_as_int(merged["t_max"], "algo.t_max"),
             em=em_cfg,
             psi0=math.radians(float(merged["psi0_deg"])),
             gamma_relative=has_frac,
-            block_refresh=bool(merged["block_refresh"]),
+            block_refresh=merged["block_refresh"],
         )
     except ValueError as err:
         raise ConfigError(f"invalid algo parameters: {err}") from err
 
     ex = doc["experiment"]
-    trials = int(ex.get("trials", _DEFAULT_TRIALS[command if command in _DEFAULT_TRIALS else "run"]))
+    trials = _as_int(
+        ex.get("trials", _DEFAULT_TRIALS[command if command in _DEFAULT_TRIALS else "run"]),
+        "experiment.trials",
+    )
     seed = ex.get("seed")
     sweep = None
     if "sweep" in doc:
@@ -168,7 +183,7 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sweep must be a non-empty list of [gamma_frac, Na, N]")
         try:
-            sweep = tuple((float(g), float(na), int(n)) for g, na, n in raw)
+            sweep = tuple((float(g), float(na), _as_int(n, "sweep N")) for g, na, n in raw)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed sweep entry: {err}") from err
     elif command == "sweep":
@@ -178,9 +193,9 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         spec = ExperimentSpec(
             params=params,
             algo=algo,
-            n_block=int(_require(ex, "n_block", "experiment")),
+            n_block=_as_int(_require(ex, "n_block", "experiment"), "experiment.n_block"),
             trials=trials,
-            seed=int(seed) if seed is not None else 0,
+            seed=_as_int(seed, "experiment.seed") if seed is not None else 0,
             sweep=sweep,
         )
     except ValueError as err:

@@ -11,10 +11,22 @@ M-step minimizes the weighted quadratic cost
 
     J(theta) = sum_n sum_m gamma_nm * (x_n - A*cos(theta + c_m))^2
 
-by a safeguarded Newton iteration.  Because the two symbols are antipodal,
-``theta`` is identifiable only modulo pi (adding pi swaps the labels); the
-final estimate is canonicalized to [0, pi) and the ambiguity is left to the
-caller to resolve against ground truth where needed.
+by a safeguarded Newton iteration.  Because the two symbols are antipodal
+(c_1 = c_0 + pi), both steps reduce to the one-dimensional statistic
+
+    S = sum_n (gamma_n0 - gamma_n1) * x_n = sum_n tanh(mu * x_n / sigma^2) * x_n,
+
+with mu = A*cos(theta - psi) and u = cos(theta - psi):
+J(theta) = sum x^2 - 2*A*S*u + N*A^2*u^2.  So :func:`run_em` makes one O(N)
+pass per EM iteration to form S and runs the Newton M-step in O(1) per
+evaluation; the observed-data log-likelihood is one pass in log-cosh form.
+:func:`e_step`, :func:`m_step_objective` and :func:`m_step_derivatives` keep
+the per-component form as the reference the reduced form is tested against.
+
+Because the two symbols are antipodal, ``theta`` is identifiable only modulo
+pi (adding pi swaps the labels); the final estimate is canonicalized to
+[0, pi) and the ambiguity is left to the caller to resolve against ground
+truth where needed.
 """
 
 from __future__ import annotations
@@ -23,9 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import NewtonError
-from .physics import ChannelParams, ObservationBlock, canonical_phase
+from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase
 
 __all__ = [
     "EmConfig",
@@ -94,10 +107,6 @@ class EmResult:
     flat_likelihood: bool
 
 
-def _means(params: ChannelParams, psi: float, theta: float) -> np.ndarray:
-    return params.amplitude() * np.cos(theta + np.array([0.0, np.pi]) - psi)
-
-
 def e_step(
     block: ObservationBlock, params: ChannelParams, psi: float, theta_t: float
 ) -> np.ndarray:
@@ -106,7 +115,7 @@ def e_step(
     Computed in log space with max subtraction; rows sum to 1 exactly up to
     roundoff even when one component underflows.
     """
-    mu = _means(params, psi, theta_t)
+    mu = block_means(params, psi, theta_t)
     z = block.x[:, None] - mu[None, :]
     logn = -0.5 * z**2 / params.noise_var()
     logn -= logn.max(axis=1, keepdims=True)
@@ -118,14 +127,26 @@ def e_step(
 def loglik(
     block: ObservationBlock, params: ChannelParams, psi: float, theta: float
 ) -> float:
-    """Observed-data log-likelihood sum_n log[(1/2) sum_m N(x_n; mu_m, s2)]."""
+    """Observed-data log-likelihood sum_n log[(1/2) sum_m N(x_n; mu_m, s2)].
+
+    With antipodal means +-mu, mu = A*cos(theta - psi), and y_n = |mu*x_n|/s2,
+    each term is log cosh(y_n) - (x_n^2 + mu^2)/(2*s2) - log(2*pi*s2)/2, and
+    log cosh(y) = y + log1p(exp(-2y)) - log 2 holds without overflow for any
+    y >= 0.  The sum is formed as
+
+        sum[log1p(exp(-2y)) - (|x| - |mu|)^2/(2*s2)] - N*(log 2 + log(2*pi*s2)/2),
+
+    which is the same expression with y - (x^2 + mu^2)/(2*s2) collected into
+    one square, so no large terms cancel at high SNR.
+    """
     sigma2 = params.noise_var()
-    mu = _means(params, psi, theta)
-    z = block.x[:, None] - mu[None, :]
-    logn = -0.5 * z**2 / sigma2 - 0.5 * math.log(2.0 * math.pi * sigma2)
-    m = logn.max(axis=1)
-    lse = m + np.log(np.exp(logn - m[:, None]).sum(axis=1))
-    return float((lse + math.log(0.5)).sum())
+    amu = abs(params.amplitude() * math.cos(theta - psi))
+    ax = np.abs(block.x)
+    d = ax - amu
+    soft = float(np.log1p(np.exp(ax * (-2.0 * amu / sigma2))).sum())
+    return soft - float(d @ d) / (2.0 * sigma2) - block.n * (
+        math.log(2.0) + 0.5 * math.log(2.0 * math.pi * sigma2)
+    )
 
 
 def m_step_objective(
@@ -136,7 +157,7 @@ def m_step_objective(
     responsibilities: np.ndarray,
 ) -> float:
     """Weighted quadratic cost J(theta) minimized by the M-step."""
-    mu = _means(params, psi, theta)
+    mu = block_means(params, psi, theta)
     z = block.x[:, None] - mu[None, :]
     return float((responsibilities * z**2).sum())
 
@@ -182,33 +203,33 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def newton_update(
-    block: ObservationBlock,
-    params: ChannelParams,
+def _newton_min(
+    s: float,
+    w: float,
+    a: float,
     psi: float,
     theta_t: float,
-    responsibilities: np.ndarray,
-    newton_max: int = 100,
-    newton_tol: float = 1e-3,
+    newton_max: int,
+    newton_tol: float,
 ) -> float:
-    """Minimize J over theta by safeguarded Newton from theta_t.
+    """Safeguarded Newton on the reduced cost Jr(theta) = -2*a*s*u + w*a^2*u^2.
 
-    A Newton step is accepted only when the curvature exceeds a small floor
-    and the step does not increase J; otherwise the step is halved (up to 30
-    times) and, failing that, one golden-section minimization over
-    [theta_t - pi/2, theta_t + pi/2] replaces the step.  Runs until
-    |step| < newton_tol or newton_max iterations.
-
-    Raises:
-        NewtonError: not even the golden-section fallback decreased J.
+    u = cos(theta - psi), s = sum (gamma_0 - gamma_1) * x, w = sum gamma.
+    Jr differs from J by the theta-free constant sum (gamma_0 + gamma_1) * x^2,
+    which is dropped so the accept test compares O(1) quantities without
+    cancellation; each evaluation is O(1).
     """
 
     def J(th: float) -> float:
-        return m_step_objective(block, params, psi, th, responsibilities)
+        u = math.cos(th - psi)
+        return a * u * (w * a * u - 2.0 * s)
 
     theta = theta_t
     for _ in range(newton_max):
-        grad, hess = m_step_derivatives(block, params, psi, theta, responsibilities)
+        d = theta - psi
+        u = math.cos(d)
+        grad = 2.0 * a * math.sin(d) * (s - w * a * u)
+        hess = 2.0 * a * (u * s - w * a * math.cos(2.0 * d))
         j0 = J(theta)
         accepted = False
         if hess > _H_FLOOR:
@@ -230,6 +251,35 @@ def newton_update(
         if abs(step) < newton_tol:
             break
     return float(theta)
+
+
+def newton_update(
+    block: ObservationBlock,
+    params: ChannelParams,
+    psi: float,
+    theta_t: float,
+    responsibilities: np.ndarray,
+    newton_max: int = 100,
+    newton_tol: float = 1e-3,
+) -> float:
+    """Minimize J over theta by safeguarded Newton from theta_t.
+
+    A Newton step is accepted only when the curvature exceeds a small floor
+    and the step does not increase J; otherwise the step is halved (up to 30
+    times) and, failing that, one golden-section minimization over
+    [theta_t - pi/2, theta_t + pi/2] replaces the step.  Runs until
+    |step| < newton_tol or newton_max iterations.  J depends on the data
+    only through S = sum (gamma_0 - gamma_1) * x and sum gamma, so the
+    iteration itself is O(1) per step.
+
+    Raises:
+        NewtonError: not even the golden-section fallback decreased J.
+    """
+    g = responsibilities
+    s = float((g[:, 0] - g[:, 1]) @ block.x)
+    return _newton_min(
+        s, float(g.sum()), params.amplitude(), psi, theta_t, newton_max, newton_tol
+    )
 
 
 def _init_angles(config: EmConfig) -> list[float]:
@@ -267,6 +317,9 @@ def run_em(
     Raises:
         NewtonError: every start failed to make progress in the M-step.
     """
+    a = params.amplitude()
+    sigma2 = params.noise_var()
+    x = block.x
     best = None
     last_err: NewtonError | None = None
     for theta0 in _init_angles(config):
@@ -276,11 +329,11 @@ def run_em(
         iterations = 0
         try:
             for it in range(config.l_max):
-                g = e_step(block, params, psi, theta)
-                theta_new = newton_update(
-                    block, params, psi, theta, g,
-                    newton_max=config.newton_max,
-                    newton_tol=config.newton_tol,
+                # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
+                mu = a * math.cos(theta - psi)
+                s = float(np.tanh(x * (mu / sigma2)) @ x)
+                theta_new = _newton_min(
+                    s, block.n, a, psi, theta, config.newton_max, config.newton_tol
                 )
                 trace.append(loglik(block, params, psi, theta_new))
                 iterations = it + 1
@@ -302,9 +355,11 @@ def run_em(
     # Responsibilities are evaluated at the converged theta BEFORE reduction
     # mod pi: reducing by an odd multiple of pi swaps the component labels,
     # and the returned hard decisions must reflect the labeling EM actually
-    # converged to (the caller resolves the ambiguity).
+    # converged to (the caller resolves the ambiguity).  With antipodal
+    # means gamma_0 = expit(2*mu*x/s2) and gamma_1 = expit(-2*mu*x/s2).
     theta_hat = canonical_phase(theta)
-    g = e_step(block, params, psi, float(theta))
+    z = x * (2.0 * a * math.cos(theta - psi) / sigma2)
+    g = np.column_stack([expit(z), expit(-z)])
     s_hat = g.argmax(axis=1).astype(np.int64)
     flat = bool(np.abs(g[:, 0] - 0.5).max() < _FLAT_RESP_TOL)
     return EmResult(

@@ -58,9 +58,12 @@ class ExperimentSpec:
         if self.n_block < 1:
             raise ValueError("n_block must be >= 1")
         if self.sweep is not None:
-            for gf, _na, _n in self.sweep:
+            for gf, na, n in self.sweep:
                 if not 0 <= gf <= 1:
                     raise ValueError(f"gamma_frac must lie in [0, 1], got {gf}")
+                if n < 1:
+                    raise ValueError(f"sweep block length must be >= 1, got {n}")
+                replace(self.params, Na=na)  # validates Na like the base channel
 
 
 @dataclass

@@ -57,6 +57,8 @@ class ChannelParams:
         eta: channel transmissivity, in (0, 1].
         Na: thermal mean photon number, >= 0.
         theta: true channel phase rotation in radians.
+
+    Every field must be finite.
     """
 
     E: float
@@ -65,14 +67,15 @@ class ChannelParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        for name in ("E", "eta", "Na", "theta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.E > 0:
             raise ValueError(f"E must be positive, got {self.E}")
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.Na < 0:
             raise ValueError(f"Na must be non-negative, got {self.Na}")
-        if not np.isfinite(self.theta):
-            raise ValueError("theta must be finite")
 
     def amplitude(self) -> float:
         """Signal amplitude A = sqrt(2 * eta * E)."""

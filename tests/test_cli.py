@@ -91,12 +91,34 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     lambda d: d["channel"].update(E=-1.0),
     lambda d: d["experiment"].update(n_block=0),
     lambda d: d.update(sweep=[]),
+    lambda d: d.update(sweep=[[0.2, 3.0, 0]]),          # N = 0
+    lambda d: d.update(sweep=[[0.2, -1.0, 150]]),       # Na < 0
+    lambda d: d.update(sweep=[[0.2, 3.0, 150.5]]),      # fractional N
+    lambda d: d["experiment"].update(trials=2.5),
+    lambda d: d["experiment"].update(n_block=200.5),
+    lambda d: d["experiment"].update(seed=5.5),
+    lambda d: d["algo"].update(t_max=2.7),
+    lambda d: d["algo"].update(l_max=10.5),
+    lambda d: d["algo"].update(newton_max="100"),
+    lambda d: d["algo"].update(t_max=True),
+    lambda d: d["algo"].update(block_refresh="false"),
+    lambda d: d["algo"].update(block_refresh=0),
+    lambda d: d["channel"].update(Na=float("nan")),
 ])
 def test_parse_config_rejects_malformed(mutate):
     doc = _base_doc()
     mutate(doc)
     with pytest.raises(ConfigError):
         parse_config(doc, "run")
+
+
+def test_parse_config_accepts_integral_floats():
+    doc = _base_doc()
+    doc["algo"]["t_max"] = 25.0
+    doc["experiment"]["trials"] = 2.0
+    spec, echo, _ = parse_config(doc, "run")
+    assert spec.algo.t_max == 25 and spec.trials == 2
+    assert echo["algo"]["t_max"] == 25 and isinstance(echo["algo"]["t_max"], int)
 
 
 def test_parse_config_sweep_required_for_sweep_command():
@@ -257,6 +279,14 @@ def test_sweep_outputs(tmp_path, monkeypatch):
     assert summary["trials_per_point"] == 2
     assert all(p["feasible"] for p in summary["points"])
     assert summary["config"]["sweep"] == [[0.0, 3.0, 150], [0.4, 3.0, 150]]
+
+
+def test_sweep_bad_entry_exits_2_without_outputs(tmp_path):
+    cfg = _write_doc(tmp_path, _base_doc(sweep=[[0.2, 3.0, 0]]))
+    out = tmp_path / "s"
+    rc = main(["--out-dir", str(out), "sweep", cfg])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_sweep_without_section_exits_2(tmp_path):

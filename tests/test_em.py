@@ -5,7 +5,7 @@ import pytest
 
 from qisac import ChannelParams, EmConfig, fisher_symbol, run_em, sample_block, wrap_pi
 from qisac.em import e_step, loglik, m_step_derivatives, m_step_objective, newton_update
-from qisac.physics import ObservationBlock
+from qisac.physics import ObservationBlock, block_means
 
 
 def _block(x, s=None, seed=0):
@@ -132,6 +132,49 @@ def test_newton_update_decreases_objective():
         assert j1 <= j0 + 1e-9
 
 
+def test_newton_update_matches_closed_form_minimizer():
+    # J depends on theta only through u = cos(theta - psi), as a quadratic
+    # minimized at u* = S/(N*A), so its minimizers are psi +- arccos(u*).
+    # A long Newton step from a weakly curved start can cross the maximum
+    # at sin(theta - psi) = 0 into the mirror basin, where J is the same;
+    # the side is therefore read off the result.
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        params, psi, block, theta, gamma = _random_case(rng)
+        s = float((gamma[:, 0] - gamma[:, 1]) @ block.x)
+        u_star = np.clip(s / (block.n * params.amplitude()), -1.0, 1.0)
+        got = newton_update(block, params, psi, theta, gamma, newton_tol=1e-10)
+        expected = psi + np.sign(np.sin(got - psi)) * np.arccos(u_star)
+        assert abs((got - expected + np.pi) % (2 * np.pi) - np.pi) < 1e-8
+
+
+# ------------------------------------------------------------ log-likelihood
+
+def _loglik_reference(block, params, psi, theta):
+    """Two-component log-sum-exp of the mixture density, term by term."""
+    s2 = params.noise_var()
+    mu = block_means(params, psi, theta)
+    logn = -0.5 * (block.x[:, None] - mu[None, :]) ** 2 / s2 - 0.5 * math.log(2 * math.pi * s2)
+    return float((np.logaddexp(logn[:, 0], logn[:, 1]) + math.log(0.5)).sum())
+
+
+def test_loglik_matches_log_sum_exp_reference():
+    rng = np.random.default_rng(15)
+    y_max = 0.0
+    for e in np.logspace(-2, 4, 13):
+        for na in (0.0, 2.0):
+            params = ChannelParams(E=float(e), eta=1.0, Na=na, theta=float(rng.uniform(0, np.pi)))
+            psi = float(rng.uniform(0, np.pi))
+            block = sample_block(params, psi, 500, seed=int(rng.integers(1 << 30)))
+            # the truth, the quarter turn u = 0, and an arbitrary phase
+            for theta in (params.theta, psi + np.pi / 2, float(rng.uniform(0, np.pi))):
+                ref = _loglik_reference(block, params, psi, theta)
+                assert abs(loglik(block, params, psi, theta) - ref) <= 1e-12 * abs(ref)
+            mu = params.amplitude() * math.cos(params.theta - psi)
+            y_max = max(y_max, float(np.abs(mu * block.x).max()) / params.noise_var())
+    assert y_max > 400  # exp(-2y) underflows in the log-cosh form
+
+
 # -------------------------------------------------------------------- run_em
 
 def test_run_em_noiseless_recovery():
@@ -199,6 +242,18 @@ def test_run_em_half_turn_start_flips_labels(params_common):
     d = abs(r1.theta_hat - r2.theta_hat) % np.pi
     assert min(d, np.pi - d) < 1e-5
     assert np.array_equal(r2.s_hat, 1 - r1.s_hat)
+
+
+def test_run_em_responsibilities_match_e_step(params_common):
+    # the returned responsibilities are e_step's at the unreduced converged
+    # angle, which stays within a quarter turn of a warm start
+    blk = sample_block(params_common, 0.1, 400, seed=29)
+    for theta0 in (0.37, 0.37 + np.pi, 0.37 - np.pi):
+        res = run_em(blk, params_common, 0.1, EmConfig(init_policy="fixed", init_theta=theta0))
+        theta_u = res.theta_hat + np.pi * round((theta0 - res.theta_hat) / np.pi)
+        ref = e_step(blk, params_common, 0.1, theta_u)
+        assert np.allclose(res.responsibilities, ref, rtol=0, atol=1e-12)
+        assert np.array_equal(res.s_hat, ref.argmax(axis=1))
 
 
 def test_run_em_loglik_picks_best_start(params_common):

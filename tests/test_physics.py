@@ -13,7 +13,7 @@ from qisac import (
     symbol_mean_deriv,
     trial_seed,
 )
-from qisac.physics import block_means
+from qisac.physics import block_mean_derivs, block_means
 
 
 def test_canonical_phase_half_open_contract():
@@ -48,6 +48,10 @@ def test_param_validation():
         ChannelParams(E=10.0, eta=0.8, Na=-0.1)
     with pytest.raises(ValueError):
         ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=float("nan"))
+    for bad in ({"Na": float("nan")}, {"Na": float("inf")}, {"E": float("inf")},
+                {"E": float("nan")}, {"eta": float("nan")}):
+        with pytest.raises(ValueError):
+            ChannelParams(**{"E": 10.0, "eta": 0.8, "Na": 3.0, **bad})
 
 
 def test_carrier_phase():
@@ -100,6 +104,18 @@ def test_block_means_match_scalar_op():
     mu = block_means(p, 0.2)
     assert mu[0] == symbol_mean(p, 0.2, 0)
     assert mu[1] == symbol_mean(p, 0.2, 1)
+
+
+def test_block_mean_derivs_match_central_differences():
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    for _ in range(20):
+        p = ChannelParams(10.0, 0.8, 3.0, theta=rng.uniform(-4, 4))
+        psi, theta = rng.uniform(-4, 4, size=2)
+        fd = (block_means(p, psi, theta + h) - block_means(p, psi, theta - h)) / (2 * h)
+        assert np.allclose(block_mean_derivs(p, psi, theta), fd, rtol=0, atol=1e-8)
+        # default theta is params.theta, as for block_means
+        assert np.array_equal(block_mean_derivs(p, psi), block_mean_derivs(p, psi, p.theta))
 
 
 def test_sample_block_deterministic():
