@@ -9,8 +9,14 @@ with ``phi = theta - psi``.  This module provides:
 * the exact bit error rate of the ML symbol detector,
       P_e = Q((A/sigma) * |cos(phi)|);
 * the per-symbol Fisher information of ``theta``, i.e. the variance of the
-  score of the mixture density, evaluated by deterministic quadrature, plus
-  an independent Monte-Carlo estimate of the same quantity for cross-checks;
+  score of the mixture density, plus an independent Monte-Carlo estimate of
+  the same quantity for cross-checks.  The means are antipodal (mu_1 =
+  -mu_0 = -mu), so the score (mu'/sigma^2) * (x*tanh(mu*x/sigma^2) - mu) is
+  even in x and its mixture variance equals its second moment under the
+  single lobe N(mu, sigma^2).  The quadrature therefore integrates over the
+  standardized lobe variable z = (x - mu)/sigma on one fixed Gauss-Legendre
+  rule with the normal density folded into the weights, the same for every
+  channel and offset;
 * the separated-lobe closed form (A^2/sigma^2) * sin^2(phi), which bounds
   the mixture Fisher information at every offset and is its high-SNR limit
   only where the lobes separate, A*|cos(phi)|/sigma >> 1 (at phi = pi/2
@@ -55,12 +61,13 @@ __all__ = [
     "pareto_known_theta",
 ]
 
-# Composite Gauss-Legendre: panels of fixed order tiled over the domain.
+# Composite Gauss-Legendre in the standardized lobe variable z.
 _PANEL_ORDER = 32
+_MIN_PANELS = 6
 _DEFAULT_NODES = 2048
 _NODE_CAP = 65536
 _REL_TOL = 1e-8
-_TAIL_SIGMAS = 12.0  # truncation at +-12 sigma: relative tail error < 1e-30
+_TAIL_SIGMAS = 12.0  # truncation at |z| = 12: tail mass < 1e-32
 
 
 @dataclass(frozen=True)
@@ -107,62 +114,57 @@ def ber_theory(params: ChannelParams, psi: float) -> float:
     return q_function(a / sigma * abs(math.cos(params.theta - psi)))
 
 
-@lru_cache(maxsize=256)
-def _gl_panel(order: int):
-    return roots_legendre(order)
+def _mixture_score(x, mu, dmu, sigma2):
+    """Score d/dtheta log p(x) of the antipodal mixture with means +-mu.
 
-
-def _composite_nodes(lo: float, hi: float, nodes: int, sigma: float):
-    """Gauss-Legendre nodes/weights tiled over [lo, hi] in fixed-order panels.
-
-    The panel count honors the node budget but never lets a panel exceed
-    four noise standard deviations, so order-32 panels stay accurate even
-    when high SNR stretches the domain to hundreds of sigma.
+    Equals (dmu/sigma2) * (x*tanh(mu*x/sigma2) - mu), written as
+    (x - mu) - 2x*expit(-2*mu*x/sigma2) so that nothing cancels when the
+    lobes separate and tanh saturates.  ``mu`` and ``dmu`` are the mean of
+    symbol 0 and its theta-derivative; the score is even in ``x``.  The
+    logistic is formed as 1/(1 + e^t) with t clipped at 700, where it is
+    already below 1e-304, so the exponential never overflows.
     """
-    panels = max(1, nodes // _PANEL_ORDER,
-                 int(np.ceil((hi - lo) / (4.0 * sigma))))
-    xg, wg = _gl_panel(_PANEL_ORDER)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half * xg[None, :]).ravel()
-    w = np.tile(half * wg, panels)
-    return x, w
+    t = np.minimum(2.0 * mu / sigma2 * x, 700.0)
+    return dmu / sigma2 * ((x - mu) - 2.0 * x / (1.0 + np.exp(t)))
+
+
+@lru_cache(maxsize=8)
+def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule for E[f(z)], z ~ N(0, 1), on [-12, 12].
+
+    Order-32 panels, ``nodes // 32`` of them but never fewer than six (so no
+    panel is wider than 4 standard deviations); the normal density is folded
+    into the weights.  Built on first use and cached read-only.
+    """
+    panels = max(_MIN_PANELS, nodes // _PANEL_ORDER)
+    xg, wg = roots_legendre(_PANEL_ORDER)
+    half = _TAIL_SIGMAS / panels
+    mid = -_TAIL_SIGMAS + half * (2 * np.arange(panels) + 1)
+    z = (mid[:, None] + half * xg[None, :]).ravel()
+    w = np.tile(half * wg, panels) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 def _fisher_quad(a: float, sigma2: float, phi: float, nodes: int) -> tuple[float, int]:
     """Mixture-Fisher integral at offset ``phi`` with a fixed node budget.
 
-    Returns (value, actual node count) — the count can exceed the budget
-    when the panel-width floor adds panels.
+    Returns (value, node count of the rule used).
 
-    The integrand is
+    The score of the antipodal mixture (means +-mu, mu = A*cos(phi)) is even
+    in x, so its variance under the mixture equals its second moment under
+    the single lobe N(mu, sigma^2).  With x = mu + sigma*z this is
 
-        g(x) = [ sum_m N(x; mu_m, s2) (x - mu_m) mu'_m / s2 ]^2
-               / sum_m N(x; mu_m, s2)
+        F = E_z[ score(mu + sigma*z)^2 ],   z ~ N(0, 1),
 
-    integrated over x and halved (the mixture weights 1/2 cancel between
-    numerator and denominator, leaving the overall 1/2).  Both sums are
-    evaluated in log space with max subtraction; where every component
-    underflows the integrand is taken as 0 (the numerator decays strictly
-    faster than the denominator).
+    a channel-independent expectation evaluated on :func:`_normal_rule`.
     """
+    z, w = _normal_rule(nodes)
     sigma = math.sqrt(sigma2)
-    c, s = math.cos(phi), math.sin(phi)
-    mu = np.array([a * c, -a * c])
-    dmu = np.array([-a * s, a * s])
-    lo = mu.min() - _TAIL_SIGMAS * sigma
-    hi = mu.max() + _TAIL_SIGMAS * sigma
-    x, w = _composite_nodes(lo, hi, nodes, sigma)
-
-    z = x[:, None] - mu[None, :]
-    logn = -0.5 * z**2 / sigma2 - 0.5 * math.log(2.0 * math.pi * sigma2)
-    m = logn.max(axis=1)
-    r = np.exp(logn - m[:, None])           # rescaled component densities
-    num = (r * z * dmu[None, :]).sum(axis=1) / sigma2
-    den = r.sum(axis=1)                     # >= 1 by construction of m
-    g = np.exp(m) * num**2 / den
-    return 0.5 * float(g @ w), len(x)
+    mu = a * math.cos(phi)
+    score = _mixture_score(mu + sigma * z, mu, -a * math.sin(phi), sigma2)
+    return float(w @ score**2), len(z)
 
 
 def fisher_symbol(
@@ -173,8 +175,9 @@ def fisher_symbol(
 ) -> FisherReport:
     """Per-symbol Fisher information of theta at LO phase ``psi``.
 
-    Evaluates the score-variance integral of the outcome mixture by composite
-    Gauss-Legendre quadrature on [min(mu) - 12 sigma, max(mu) + 12 sigma],
+    Evaluates the score variance as a second moment under one lobe,
+    F = E_z[score(mu + sigma*z)^2] with z ~ N(0, 1) on [-12, 12], by
+    composite Gauss-Legendre quadrature (see :func:`_fisher_quad`),
     doubling the node count until the result is stable to 1e-8 relative
     (relative to the natural scale A^2/sigma^2 when the result itself
     underflows toward zero, e.g. at phi = 0).
@@ -226,12 +229,7 @@ def fisher_symbol_mc(params: ChannelParams, psi: float, trials: int, seed: int) 
     mu = block_means(params, psi)
     dmu = block_mean_derivs(params, psi)
 
-    z = block.x[:, None] - mu[None, :]
-    logn = -0.5 * z**2 / sigma2
-    m = logn.max(axis=1)
-    r = np.exp(logn - m[:, None])
-    score = (r * z * dmu[None, :]).sum(axis=1) / (sigma2 * r.sum(axis=1))
-    return float(np.var(score))
+    return float(np.var(_mixture_score(block.x, mu[0], dmu[0], sigma2)))
 
 
 def fisher_high_snr(params: ChannelParams, psi: float) -> float:
@@ -343,17 +341,20 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
     def fblock(p: float) -> float:
         return n * _fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0]
 
-    if gamma_min <= 0.0:
-        phi = 0.0
-    elif _fisher_monotone_on_rise(a, sigma2):
-        lo, hi = 0.0, phi_star
+    def first_feasible(lo: float, hi: float) -> float:
+        """Bisect [lo, hi] 60 times; hi stays feasible, lo infeasible."""
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if fblock(mid) >= gamma_min:
                 hi = mid
             else:
                 lo = mid
-        phi = hi
+        return hi
+
+    if gamma_min <= 0.0:
+        phi = 0.0
+    elif _fisher_monotone_on_rise(a, sigma2):
+        phi = first_feasible(0.0, phi_star)
     else:
         # Low-SNR fallback: dense scan for the first feasible offset, then
         # refine the crossing by bisection on the bracketing cell.
@@ -364,14 +365,7 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
             i = len(grid) - 1  # constraint binds only at the refined peak
         else:
             i = int(feasible[0])
-        lo, hi = grid[max(i - 1, 0)], grid[i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if fblock(mid) >= gamma_min:
-                hi = mid
-            else:
-                lo = mid
-        phi = hi
+        phi = first_feasible(grid[max(i - 1, 0)], grid[i])
 
     sigma = math.sqrt(sigma2)
     return ParetoPoint(

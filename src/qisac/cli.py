@@ -105,6 +105,13 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _as_float(value, where: str) -> float:
+    """A JSON number (2 or 2.5); strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     """Validate a config document and build the experiment description.
 
@@ -122,12 +129,16 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
     ch = doc["channel"]
+
+    def channel_num(key: str) -> float:
+        return _as_float(_require(ch, key, "channel"), f"channel.{key}")
+
     try:
         params = ChannelParams(
-            E=float(_require(ch, "E", "channel")),
-            eta=float(_require(ch, "eta", "channel")),
-            Na=float(_require(ch, "Na", "channel")),
-            theta=math.radians(float(_require(ch, "theta_deg", "channel"))),
+            E=channel_num("E"),
+            eta=channel_num("eta"),
+            Na=channel_num("Na"),
+            theta=math.radians(channel_num("theta_deg")),
         )
     except ValueError as err:
         raise ConfigError(f"invalid channel parameters: {err}") from err
@@ -137,7 +148,8 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     has_abs = "gamma_abs" in al
     if has_frac == has_abs:
         raise ConfigError("exactly one of algo.gamma_frac / algo.gamma_abs is required")
-    gamma = float(al.pop("gamma_frac") if has_frac else al.pop("gamma_abs"))
+    gamma_key = "gamma_frac" if has_frac else "gamma_abs"
+    gamma = _as_float(al.pop(gamma_key), f"algo.{gamma_key}")
     merged = dict(_DEFAULTS_ALGO)
     unknown = set(al) - set(merged)
     if unknown:
@@ -147,7 +159,7 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         raise ConfigError(
             f"algo.block_refresh must be true or false, got {merged['block_refresh']!r}"
         )
-    eps = float(merged["eps"])
+    eps = _as_float(merged["eps"], "algo.eps")
     # the outer loop accepts 0 (= no early stop); the inner updates need a
     # positive tolerance, so they fall back to the default in that case
     inner_eps = eps if eps > 0 else float(_DEFAULTS_ALGO["eps"])
@@ -160,11 +172,11 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         )
         algo = AlgoConfig(
             gamma_min=gamma,
-            lam=float(merged["lambda"]),
+            lam=_as_float(merged["lambda"], "algo.lambda"),
             eps=eps,
             t_max=_as_int(merged["t_max"], "algo.t_max"),
             em=em_cfg,
-            psi0=math.radians(float(merged["psi0_deg"])),
+            psi0=math.radians(_as_float(merged["psi0_deg"], "algo.psi0_deg")),
             gamma_relative=has_frac,
             block_refresh=merged["block_refresh"],
         )
@@ -183,7 +195,11 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         if not isinstance(raw, list) or not raw:
             raise ConfigError("sweep must be a non-empty list of [gamma_frac, Na, N]")
         try:
-            sweep = tuple((float(g), float(na), _as_int(n, "sweep N")) for g, na, n in raw)
+            sweep = tuple(
+                (_as_float(g, "sweep gamma_frac"), _as_float(na, "sweep Na"),
+                 _as_int(n, "sweep N"))
+                for g, na, n in raw
+            )
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed sweep entry: {err}") from err
     elif command == "sweep":

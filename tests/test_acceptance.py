@@ -25,6 +25,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qisac import (
     AlgoConfig,
@@ -216,6 +217,7 @@ def test_criterion_5_em_derivatives_and_monotone_likelihood():
     print(f"[5] largest log-likelihood drop over 100 runs: {worst_drop:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_6_closed_loop_convergence_regression():
     """N=1000, true phase 45 deg, constraint 0.6 of max, 20 trials."""
     params = replace(COMMON, theta=math.radians(45.0))
@@ -259,6 +261,7 @@ def test_criterion_6_closed_loop_convergence_regression():
     assert abs(float(np.mean(diffs))) <= 3.0 * se
 
 
+@pytest.mark.slow
 def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
     """BER rises with the information demand and larger blocks do no worse.
 

@@ -134,6 +134,55 @@ def test_fisher_nonnegative():
         assert fisher_symbol(_params_phi(phi), 0.0).per_symbol >= 0.0
 
 
+def _fisher_mixture_reference(a, sigma2, phi, nodes=4096):
+    """Two-component score variance integrated over the whole mixture domain.
+
+    Composite order-32 Gauss-Legendre on [-|mu| - 12 sigma, |mu| + 12 sigma]
+    (panels at most 4 sigma wide) of
+
+        g(x) = [sum_m N(x; mu_m, s2) (x - mu_m) mu'_m / s2]^2 / sum_m N(x; mu_m, s2),
+
+    halved for the mixture weights, with both sums in log space.  This is the
+    form the one-lobe quadrature replaces; it uses neither the evenness of
+    the score nor the antipodal means beyond their values.
+    """
+    sigma = math.sqrt(sigma2)
+    mu = np.array([a * math.cos(phi), -a * math.cos(phi)])
+    dmu = np.array([-a * math.sin(phi), a * math.sin(phi)])
+    lo, hi = mu.min() - 12.0 * sigma, mu.max() + 12.0 * sigma
+    panels = max(nodes // 32, int(np.ceil((hi - lo) / (4.0 * sigma))))
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * xg[None, :]).ravel()
+    w = np.tile(half * wg, panels)
+    z = x[:, None] - mu[None, :]
+    logn = -0.5 * z**2 / sigma2 - 0.5 * math.log(2.0 * math.pi * sigma2)
+    m = logn.max(axis=1)
+    r = np.exp(logn - m[:, None])
+    num = (r * z * dmu[None, :]).sum(axis=1) / sigma2
+    return 0.5 * float((np.exp(m) * num**2 / r.sum(axis=1)) @ w)
+
+
+def test_fisher_quad_matches_two_component_reference():
+    phis = np.linspace(0.0, np.pi, 97)
+    for E in (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4):
+        for Na in (0.0, 0.5, 3.0):
+            p = ChannelParams(E=E, eta=0.8, Na=Na, theta=0.0)
+            a, sigma2 = p.amplitude(), p.noise_var()
+            floor = 1e-12 * a * a / sigma2
+            for phi in phis:
+                got, nodes = analytics._fisher_quad(a, sigma2, float(phi), 4096)
+                ref = _fisher_mixture_reference(a, sigma2, float(phi))
+                assert nodes == 4096
+                assert abs(got - ref) <= 1e-12 * max(ref, floor), (E, Na, phi, got, ref)
+            assert analytics._fisher_quad(a, sigma2, 0.0, 4096)[0] == 0.0
+            for phi in phis[1:48]:
+                f = analytics._fisher_quad(a, sigma2, float(phi), 4096)[0]
+                g = analytics._fisher_quad(a, sigma2, float(np.pi - phi), 4096)[0]
+                assert abs(g - f) <= 1e-12 * max(f, floor), (E, Na, phi, f, g)
+
+
 def test_fisher_quadrature_failure_signalled(monkeypatch):
     # Make node doubling never settle: result depends on the node budget.
     def unstable(a, sigma2, phi, nodes):

@@ -104,6 +104,18 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     lambda d: d["algo"].update(block_refresh="false"),
     lambda d: d["algo"].update(block_refresh=0),
     lambda d: d["channel"].update(Na=float("nan")),
+    lambda d: d["channel"].update(E=True),              # bool is not a number
+    lambda d: d["channel"].update(eta="0.8"),
+    lambda d: d["channel"].update(Na=None),
+    lambda d: d["channel"].update(theta_deg="45"),
+    lambda d: d["channel"].update(E=[10.0]),
+    lambda d: d["algo"].update(gamma_frac=True),
+    lambda d: (d["algo"].pop("gamma_frac"), d["algo"].update(gamma_abs="100")),
+    lambda d: d["algo"].update({"lambda": "0.05"}),
+    lambda d: d["algo"].update(eps=None),
+    lambda d: d["algo"].update(psi0_deg=False),
+    lambda d: d.update(sweep=[[True, 3.0, 150]]),
+    lambda d: d.update(sweep=[[0.2, "3", 150]]),
 ])
 def test_parse_config_rejects_malformed(mutate):
     doc = _base_doc()
@@ -119,6 +131,17 @@ def test_parse_config_accepts_integral_floats():
     spec, echo, _ = parse_config(doc, "run")
     assert spec.algo.t_max == 25 and spec.trials == 2
     assert echo["algo"]["t_max"] == 25 and isinstance(echo["algo"]["t_max"], int)
+
+
+def test_parse_config_accepts_integers_for_float_fields():
+    doc = _base_doc(sweep=[[0, 3, 150]])
+    doc["channel"] = {"E": 10, "eta": 1, "Na": 3, "theta_deg": 45}
+    doc["algo"].update({"lambda": 1, "eps": 0, "psi0_deg": 90})
+    spec, echo, _ = parse_config(doc, "run")
+    assert spec.params.E == 10.0 and spec.algo.lam == 1.0
+    assert spec.sweep == ((0.0, 3.0, 150),)
+    assert isinstance(echo["channel"]["E"], float)
+    assert isinstance(echo["algo"]["lambda"], float)
 
 
 def test_parse_config_sweep_required_for_sweep_command():
@@ -238,6 +261,15 @@ def test_run_bad_config_exits_2_without_outputs(tmp_path):
     cfg = _write_doc(tmp_path, {"channel": {}})
     out = tmp_path / "nope"
     rc = main(["--out-dir", str(out), "run", cfg])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_run_boolean_channel_value_exits_2(tmp_path):
+    doc = _base_doc()
+    doc["channel"]["E"] = True
+    out = tmp_path / "bool"
+    rc = main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)])
     assert rc == 2
     assert not out.exists()
 
