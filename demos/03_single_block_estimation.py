@@ -65,7 +65,7 @@ print(f"estimate {math.degrees(res.theta_hat):7.3f} deg: log-likelihood {ll_hat:
 print(f"mirror   {math.degrees(mirror):7.3f} deg: log-likelihood {ll_mir:.6f}")
 print(f"difference: {ll_hat - ll_mir:.2e} nats — a single block cannot tell them apart")
 
-cfg = EmConfig(init_policy="fixed", init_theta=mirror)
+cfg = EmConfig(init_theta=mirror)
 res2 = run_em(block, params, psi, cfg)
 print(f"EM started at the mirror lands on {math.degrees(res2.theta_hat):.3f} deg")
 print()

@@ -342,13 +342,14 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
         return n * _fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0]
 
     def first_feasible(lo: float, hi: float) -> float:
-        """Bisect [lo, hi] 60 times; hi stays feasible, lo infeasible."""
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
+        """Bisect [lo, hi] down to adjacent doubles; hi stays feasible, lo infeasible."""
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
             if fblock(mid) >= gamma_min:
                 hi = mid
             else:
                 lo = mid
+            mid = 0.5 * (lo + hi)
         return hi
 
     if gamma_min <= 0.0:

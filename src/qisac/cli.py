@@ -168,7 +168,6 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
             eps=inner_eps,
             l_max=_as_int(merged["l_max"], "algo.l_max"),
             newton_max=_as_int(merged["newton_max"], "algo.newton_max"),
-            newton_tol=inner_eps,
         )
         algo = AlgoConfig(
             gamma_min=gamma,

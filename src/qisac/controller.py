@@ -252,7 +252,7 @@ def run_qisac(
                 theta_hat, block_psi, prev_block, prev_psi, params, reflect_ll
             )
         s_hat = res.s_hat
-        em_cfg = replace(em_cfg, init_policy="fixed", init_theta=theta_hat)
+        em_cfg = replace(em_cfg, init_theta=theta_hat)
 
         try:
             fc = fisher_symbol(

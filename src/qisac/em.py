@@ -23,6 +23,15 @@ evaluation; the observed-data log-likelihood is one pass in log-cosh form.
 :func:`e_step`, :func:`m_step_objective` and :func:`m_step_derivatives` keep
 the per-component form as the reference the reduced form is tested against.
 
+EM runs from one start.  With v = |cos(theta - psi)| the statistic is
+S(v) = sum |x| * tanh(A*v*|x|/sigma^2), which is increasing and concave in
+v with S(0) = 0, so the EM map v <- S(v)/(N*A) has at most one positive
+fixed point, the likelihood maximum (cf. Xu, Hsu & Maleki, "Global analysis
+of EM for mixtures of two Gaussians", NeurIPS 2016).  Every start off the
+quarter turn (v > 0) reaches the same offset magnitude |theta_hat - psi|, so
+a grid of starts buys nothing; starts differ only in the side of psi they
+end on, which one block cannot decide.
+
 Because the two symbols are antipodal, ``theta`` is identifiable only modulo
 pi (adding pi swaps the labels); the final estimate is canonicalized to
 [0, pi) and the ambiguity is left to the caller to resolve against ground
@@ -37,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .analytics import _golden_max
 from .errors import NewtonError
 from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase
 
@@ -60,31 +70,22 @@ _FLAT_RESP_TOL = 0.05   # responsibilities this close to 1/2 flag degeneracy
 class EmConfig:
     """Knobs of the EM inner loop.
 
-    init_policy selects the starting point(s) for theta:
-      * "grid": init_k equally spaced angles in [0, pi), best final
-        likelihood wins (default; the cost is multimodal at low SNR);
-      * "random": one uniform draw from [0, pi) seeded by init_seed;
-      * "fixed": the single value init_theta (used for warm starts).
+    eps stops both the EM iteration and the Newton M-step once the phase
+    moves by less than it; l_max and newton_max cap their iteration counts.
+    init_theta is the one starting angle; None starts at the LO phase psi
+    (see :func:`run_em`), a value warm-starts from a previous estimate.
     """
 
     eps: float = 1e-3
     l_max: int = 500
     newton_max: int = 100
-    newton_tol: float = 1e-3
-    init_policy: str = "grid"
-    init_k: int = 8
-    init_theta: float = 0.0
-    init_seed: int = 0
+    init_theta: float | None = None
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.l_max < 1 or self.newton_max < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.init_policy not in ("grid", "random", "fixed"):
-            raise ValueError(f"unknown init_policy {self.init_policy!r}")
-        if self.init_policy == "grid" and self.init_k < 1:
-            raise ValueError("init_k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -186,23 +187,6 @@ def m_step_derivatives(
     return grad, hess
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
 def _newton_min(
     s: float,
     w: float,
@@ -210,7 +194,7 @@ def _newton_min(
     psi: float,
     theta_t: float,
     newton_max: int,
-    newton_tol: float,
+    tol: float,
 ) -> float:
     """Safeguarded Newton on the reduced cost Jr(theta) = -2*a*s*u + w*a^2*u^2.
 
@@ -241,14 +225,14 @@ def _newton_min(
                     break
                 step *= 0.5
         if not accepted:
-            cand = _golden_min(J, theta - np.pi / 2, theta + np.pi / 2)
+            cand = _golden_max(lambda t: -J(t), theta - np.pi / 2, theta + np.pi / 2, 1e-6)
             if J(cand) > j0 + 1e-9 * max(1.0, abs(j0)):
                 raise NewtonError(
                     f"M-step failed to decrease the objective at theta={theta:.6f}"
                 )
             step = cand - theta
         theta = cand
-        if abs(step) < newton_tol:
+        if abs(step) < tol:
             break
     return float(theta)
 
@@ -282,25 +266,20 @@ def newton_update(
     )
 
 
-def _init_angles(config: EmConfig) -> list[float]:
-    if config.init_policy == "grid":
-        return [k * np.pi / config.init_k for k in range(config.init_k)]
-    if config.init_policy == "random":
-        rng = np.random.Generator(np.random.Philox(key=config.init_seed))
-        return [float(rng.random() * np.pi)]
-    return [float(config.init_theta)]
-
-
 def run_em(
     block: ObservationBlock,
     params: ChannelParams,
     psi: float,
     config: EmConfig = EmConfig(),
 ) -> EmResult:
-    """Alternate E- and M-steps until the phase iterate stabilizes.
+    """Alternate E- and M-steps from one start until the phase iterate stabilizes.
 
-    Runs from every starting angle given by the init policy and keeps the
-    result with the highest observed-data log-likelihood.  Stops a start when
+    The start is config.init_theta, or the LO phase psi when that is None.
+    From psi (|cos(theta - psi)| = 1) the EM map approaches its fixed point
+    monotonically, and psi is never the degenerate quarter-turn start at
+    which the two symbol means coincide.  Since the fixed point of the
+    offset magnitude is unique (see the module docstring), further starts
+    could change only the side of psi the result lands on.  Stops when
     |theta^(t+1) - theta^(t)| < eps or after l_max iterations.  The reported
     estimate is reduced to [0, pi), while the responsibilities and hard
     decisions are evaluated at the unreduced converged angle, so they keep
@@ -309,49 +288,32 @@ def run_em(
 
     A single block identifies the phase only up to reflection about the LO
     phase: the outcome density is even in the offset theta - psi, so theta
-    and 2*psi - theta fit any one block with exactly equal likelihood, and
-    which one is returned depends on the starts.  Only the offset magnitude
-    |theta_hat - psi| is meaningful from one block; callers holding data
-    taken at several LO phases can break the tie (the controller does).
+    and 2*psi - theta fit any one block with exactly equal likelihood.  Only
+    the offset magnitude |theta_hat - psi| is meaningful from one block;
+    callers holding data taken at several LO phases can break the tie (the
+    controller does).
 
     Raises:
-        NewtonError: every start failed to make progress in the M-step.
+        NewtonError: the M-step failed to decrease its objective.
     """
     a = params.amplitude()
     sigma2 = params.noise_var()
     x = block.x
-    best = None
-    last_err: NewtonError | None = None
-    for theta0 in _init_angles(config):
-        theta = theta0
-        trace = []
-        converged = False
-        iterations = 0
-        try:
-            for it in range(config.l_max):
-                # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
-                mu = a * math.cos(theta - psi)
-                s = float(np.tanh(x * (mu / sigma2)) @ x)
-                theta_new = _newton_min(
-                    s, block.n, a, psi, theta, config.newton_max, config.newton_tol
-                )
-                trace.append(loglik(block, params, psi, theta_new))
-                iterations = it + 1
-                if abs(theta_new - theta) < config.eps:
-                    theta = theta_new
-                    converged = True
-                    break
-                theta = theta_new
-        except NewtonError as err:
-            last_err = err
-            continue
-        ll = trace[-1] if trace else loglik(block, params, psi, theta)
-        if best is None or ll > best[0]:
-            best = (ll, theta, np.array(trace), iterations, converged)
-    if best is None:
-        raise last_err if last_err is not None else NewtonError("EM made no progress")
+    theta = psi if config.init_theta is None else float(config.init_theta)
+    trace = []
+    converged = False
+    for _ in range(config.l_max):
+        # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
+        mu = a * math.cos(theta - psi)
+        s = float(np.tanh(x * (mu / sigma2)) @ x)
+        theta_new = _newton_min(s, block.n, a, psi, theta, config.newton_max, config.eps)
+        trace.append(loglik(block, params, psi, theta_new))
+        step = theta_new - theta
+        theta = theta_new
+        if abs(step) < config.eps:
+            converged = True
+            break
 
-    _, theta, trace, iterations, converged = best
     # Responsibilities are evaluated at the converged theta BEFORE reduction
     # mod pi: reducing by an odd multiple of pi swaps the component labels,
     # and the returned hard decisions must reflect the labeling EM actually
@@ -366,8 +328,8 @@ def run_em(
         theta_hat=theta_hat,
         responsibilities=g,
         s_hat=s_hat,
-        loglik_trace=trace,
-        iterations=iterations,
+        loglik_trace=np.array(trace),
+        iterations=len(trace),
         converged=converged,
         flat_likelihood=flat,
     )

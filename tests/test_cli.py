@@ -66,7 +66,6 @@ def test_parse_config_shared_eps_reaches_em():
     spec, _, _ = parse_config(doc, "run")
     assert spec.algo.eps == 5e-4
     assert spec.algo.em.eps == 5e-4
-    assert spec.algo.em.newton_tol == 5e-4
 
 
 def test_parse_config_zero_eps_disables_outer_stop_only():
@@ -77,7 +76,6 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     spec, echo, _ = parse_config(doc, "run")
     assert spec.algo.eps == 0.0
     assert spec.algo.em.eps == 1e-3
-    assert spec.algo.em.newton_tol == 1e-3
     assert echo["algo"]["eps"] == 0.0  # echo keeps the author's intent
 
 

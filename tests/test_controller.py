@@ -116,7 +116,7 @@ def test_run_qisac_recovers_from_mirrored_start(params_common):
     cfg = AlgoConfig(
         gamma_min=0.6, gamma_relative=True, lam=0.02, eps=0.0, t_max=300,
         psi0=math.radians(90.0),
-        em=EmConfig(init_policy="fixed", init_theta=mirror0),
+        em=EmConfig(init_theta=mirror0),
     )
     trace = run_qisac(_source(params_common), params_common, cfg)
     # first estimate sits on the mirror; the steady state must not
