@@ -46,11 +46,10 @@ from .montecarlo import (
 from .physics import (
     ChannelParams,
     ObservationBlock,
+    block_mean_derivs,
+    block_means,
     canonical_phase,
-    carrier_phase,
     sample_block,
-    symbol_mean,
-    symbol_mean_deriv,
     trial_seed,
 )
 
@@ -72,8 +71,9 @@ __all__ = [
     "RunTrace",
     "TradeoffCurve",
     "ber_theory",
+    "block_mean_derivs",
+    "block_means",
     "canonical_phase",
-    "carrier_phase",
     "e_step",
     "fc_max",
     "fisher_argmax",
@@ -95,8 +95,6 @@ __all__ = [
     "steady_psi",
     "steady_window",
     "select_target",
-    "symbol_mean",
-    "symbol_mean_deriv",
     "trial_seed",
     "update_psi",
     "wrap_pi",

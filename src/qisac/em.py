@@ -19,7 +19,8 @@ by a safeguarded Newton iteration.  Because the two symbols are antipodal
 with mu = A*cos(theta - psi) and u = cos(theta - psi):
 J(theta) = sum x^2 - 2*A*S*u + N*A^2*u^2.  So :func:`run_em` makes one O(N)
 pass per EM iteration to form S and runs the Newton M-step in O(1) per
-evaluation; the observed-data log-likelihood is one pass in log-cosh form.
+evaluation; the observed-data log-likelihood is one pass in log-cosh form,
+evaluated at the iterates only when a caller reads ``loglik_trace``.
 :func:`e_step`, :func:`m_step_objective` and :func:`m_step_derivatives` keep
 the per-component form as the reference the reduced form is tested against.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -64,6 +66,9 @@ __all__ = [
 _H_FLOOR = 1e-12        # curvature below this is treated as non-convex
 _MAX_HALVINGS = 30
 _FLAT_RESP_TOL = 0.05   # responsibilities this close to 1/2 flag degeneracy
+# |z| below which expit(z) and expit(-z) may round to the same value; the
+# true gap is ~|z|/2, so beyond it the two differ by far more than roundoff
+_TIE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,24 +93,54 @@ class EmConfig:
             raise ValueError("iteration limits must be >= 1")
 
 
-@dataclass(frozen=True)
 class EmResult:
     """Outcome of one EM run.
 
     theta_hat is canonical in [0, pi); s_hat[n] is the argmax of
-    responsibilities[n]; loglik_trace holds the observed-data log-likelihood
-    after each EM iteration of the winning start (non-decreasing up to
-    roundoff). flat_likelihood flags the degenerate geometry where the two
+    responsibilities[n] (ties go to label 0); loglik_trace holds the
+    observed-data log-likelihood after each EM iteration (non-decreasing up
+    to roundoff). flat_likelihood flags the degenerate geometry where the two
     symbol means coincide and the responsibilities stay near 1/2.
+
+    responsibilities and loglik_trace may each be given as an array or as a
+    zero-argument callable that builds it; a callable runs on first access
+    and its array is kept.  :func:`run_em` passes callables, so a caller that
+    reads only theta_hat and s_hat never pays for the N x 2 matrix or for a
+    likelihood pass per EM iteration.
     """
 
-    theta_hat: float
-    responsibilities: np.ndarray
-    s_hat: np.ndarray
-    loglik_trace: np.ndarray
-    iterations: int
-    converged: bool
-    flat_likelihood: bool
+    __slots__ = ("theta_hat", "_responsibilities", "s_hat", "_loglik_trace",
+                 "iterations", "converged", "flat_likelihood")
+
+    def __init__(
+        self,
+        theta_hat: float,
+        responsibilities: np.ndarray | Callable[[], np.ndarray],
+        s_hat: np.ndarray,
+        loglik_trace: np.ndarray | Callable[[], np.ndarray],
+        iterations: int,
+        converged: bool,
+        flat_likelihood: bool,
+    ):
+        self.theta_hat = theta_hat
+        self._responsibilities = responsibilities
+        self.s_hat = s_hat
+        self._loglik_trace = loglik_trace
+        self.iterations = iterations
+        self.converged = converged
+        self.flat_likelihood = flat_likelihood
+
+    @property
+    def responsibilities(self) -> np.ndarray:
+        if callable(self._responsibilities):
+            self._responsibilities = self._responsibilities()
+        return self._responsibilities
+
+    @property
+    def loglik_trace(self) -> np.ndarray:
+        if callable(self._loglik_trace):
+            self._loglik_trace = self._loglik_trace()
+        return self._loglik_trace
 
 
 def e_step(
@@ -142,9 +177,11 @@ def loglik(
     """
     sigma2 = params.noise_var()
     amu = abs(params.amplitude() * math.cos(theta - psi))
-    ax = np.abs(block.x)
-    d = ax - amu
-    soft = float(np.log1p(np.exp(ax * (-2.0 * amu / sigma2))).sum())
+    t = np.abs(block.x)
+    t *= -2.0 * amu / sigma2
+    soft = float(np.log1p(np.exp(t, out=t), out=t).sum())
+    d = np.abs(block.x, out=t)
+    d -= amu
     return soft - float(d @ d) / (2.0 * sigma2) - block.n * (
         math.log(2.0) + 0.5 * math.log(2.0 * math.pi * sigma2)
     )
@@ -300,36 +337,45 @@ def run_em(
     sigma2 = params.noise_var()
     x = block.x
     theta = psi if config.init_theta is None else float(config.init_theta)
-    trace = []
+    thetas = []
     converged = False
     for _ in range(config.l_max):
         # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
         mu = a * math.cos(theta - psi)
-        s = float(np.tanh(x * (mu / sigma2)) @ x)
+        t = x * (mu / sigma2)
+        s = float(np.tanh(t, out=t) @ x)
         theta_new = _newton_min(s, block.n, a, psi, theta, config.newton_max, config.eps)
-        trace.append(loglik(block, params, psi, theta_new))
+        thetas.append(theta_new)
         step = theta_new - theta
         theta = theta_new
         if abs(step) < config.eps:
             converged = True
             break
 
-    # Responsibilities are evaluated at the converged theta BEFORE reduction
-    # mod pi: reducing by an odd multiple of pi swaps the component labels,
-    # and the returned hard decisions must reflect the labeling EM actually
-    # converged to (the caller resolves the ambiguity).  With antipodal
-    # means gamma_0 = expit(2*mu*x/s2) and gamma_1 = expit(-2*mu*x/s2).
+    # Decisions are evaluated at the converged theta BEFORE reduction mod pi:
+    # reducing by an odd multiple of pi swaps the component labels, and the
+    # returned hard decisions must reflect the labeling EM actually converged
+    # to (the caller resolves the ambiguity).  With antipodal means
+    # gamma_0 = expit(z) and gamma_1 = expit(-z), z = 2*mu*x/s2, so the
+    # argmax is label 1 exactly where expit(-z) > expit(z): wherever z < 0,
+    # except for |z| so small that both round to the same value, which is
+    # decided by the responsibilities themselves.  expit is monotone, so the
+    # largest |gamma_0 - 1/2| sits at the extreme z.
     theta_hat = canonical_phase(theta)
     z = x * (2.0 * a * math.cos(theta - psi) / sigma2)
-    g = np.column_stack([expit(z), expit(-z)])
-    s_hat = g.argmax(axis=1).astype(np.int64)
-    flat = bool(np.abs(g[:, 0] - 0.5).max() < _FLAT_RESP_TOL)
+    neg = z < 0.0
+    s_hat = neg.astype(np.int64)
+    tie = np.flatnonzero(neg & (z > -_TIE_BAND))
+    if tie.size:
+        zt = z[tie]
+        s_hat[tie] = expit(-zt) > expit(zt)
+    flat = bool(max(abs(expit(z.max()) - 0.5), abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
     return EmResult(
         theta_hat=theta_hat,
-        responsibilities=g,
+        responsibilities=lambda: np.column_stack([expit(z), expit(-z)]),
         s_hat=s_hat,
-        loglik_trace=np.array(trace),
-        iterations=len(trace),
+        loglik_trace=lambda: np.array([loglik(block, params, psi, th) for th in thetas]),
+        iterations=len(thetas),
         converged=converged,
         flat_likelihood=flat,
     )

@@ -110,7 +110,9 @@ def score_ber(s_hat, s_true) -> tuple[float, bool]:
     s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s_true.shape}")
-    e = float(np.mean(s_hat != s_true))
+    if s_hat.size == 0:
+        raise ValueError("no symbols to score")
+    e = np.count_nonzero(s_hat != s_true) / s_hat.size
     if e <= 1.0 - e:
         return e, False
     return 1.0 - e, True
@@ -163,7 +165,7 @@ def _run_trials(spec: ExperimentSpec, threads: int) -> tuple[list[RunTrace], lis
             traces.append(trace)
         else:
             failures.append((i, err))
-            log.warning("trial %d failed: %s", i, err)
+            log.warning("trial %d (seed %d) failed: %s", i, trial_seed(spec.seed, i), err)
     return traces, failures
 
 

@@ -27,9 +27,8 @@ __all__ = [
     "ChannelParams",
     "ObservationBlock",
     "canonical_phase",
-    "carrier_phase",
-    "symbol_mean",
-    "symbol_mean_deriv",
+    "block_means",
+    "block_mean_derivs",
     "sample_block",
     "trial_seed",
 ]
@@ -86,13 +85,6 @@ class ChannelParams:
         return float(self.Na + 0.5)
 
 
-def carrier_phase(m: int) -> float:
-    """Carrier phase of BPSK symbol ``m``: phi_0 = 0, phi_1 = pi."""
-    if m not in (0, 1):
-        raise ValueError(f"symbol index must be 0 or 1, got {m}")
-    return np.pi * m
-
-
 @dataclass(frozen=True)
 class ObservationBlock:
     """A block of N homodyne outcomes with the symbols that produced them.
@@ -118,16 +110,6 @@ class ObservationBlock:
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-def symbol_mean(params: ChannelParams, psi: float, m: int) -> float:
-    """Mean homodyne outcome for symbol m: A * cos(phi_m + theta - psi)."""
-    return params.amplitude() * float(np.cos(carrier_phase(m) + params.theta - psi))
-
-
-def symbol_mean_deriv(params: ChannelParams, psi: float, m: int) -> float:
-    """d(mu_m)/d(theta) = -A * sin(phi_m + theta - psi)."""
-    return -params.amplitude() * float(np.sin(carrier_phase(m) + params.theta - psi))
 
 
 def block_means(params: ChannelParams, psi: float, theta: float | None = None) -> np.ndarray:
@@ -178,6 +160,8 @@ def sample_block(params: ChannelParams, psi: float, n: int, seed: int) -> Observ
     s = rng.integers(0, 2, size=n)
     # Uniform on the open interval (0,1) so ndtri never returns +-inf.
     u = rng.integers(1, 1 << 53, size=n) * 2.0**-53
-    mu = block_means(params, psi)[s]
-    x = mu + np.sqrt(params.noise_var()) * ndtri(u)
+    noise = ndtri(u, out=u)
+    noise *= np.sqrt(params.noise_var())
+    x = block_means(params, psi).take(s)
+    x += noise
     return ObservationBlock(x=x, s_true=s, seed=int(seed) & _MASK64)

@@ -1,0 +1,40 @@
+import importlib.util
+import json
+from pathlib import Path
+
+from qisac import controller, em
+from qisac.analytics import fisher_symbol
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_layers", _TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bench_layers_smoke(tmp_path, capsys):
+    tool = _load_tool()
+    path = tool.main(["--tag", "smoke", "--n", "40", "120", "--iters", "3",
+                      "--repeats", "2", "--out-dir", str(tmp_path)])
+    assert path == tmp_path / "BENCH_layers_smoke.json"
+    doc = json.loads(path.read_text())
+    assert doc["tag"] == "smoke"
+    assert [r["n"] for r in doc["results"]] == [40, 120]
+    for r in doc["results"]:
+        us, calls = r["us_per_iter"], r["calls_per_iter"]
+        assert r["iterations"] == 3 and r["repeats"] == 2
+        assert set(us) == set(r["minflt_per_iter"]) == {*tool.LAYERS, "rest", "total"}
+        assert all(us[k] > 0 for k in tool.LAYERS)
+        assert abs(sum(us[k] for k in (*tool.LAYERS, "rest")) - us["total"]) < 1e-6 * us["total"]
+        # one block, one EM run, one information evaluation and two
+        # reflection scores per counted iteration
+        assert calls == {"sample_block": 1.0, "run_em": 1.0, "loglik": 2.0,
+                         "fisher_symbol": 1.0}
+    # the controller's names are restored
+    assert controller.run_em is em.run_em
+    assert controller.loglik is em.loglik
+    assert controller.fisher_symbol is fisher_symbol
+    assert "N=   120" in capsys.readouterr().out

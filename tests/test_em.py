@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from qisac import ChannelParams, EmConfig, fisher_symbol, run_em, sample_block, wrap_pi
 from qisac.em import e_step, loglik, m_step_derivatives, m_step_objective, newton_update
@@ -294,6 +295,93 @@ def test_run_em_result_independent_of_start():
             assert abs(_fold(warm.theta_hat - psi) - _fold(cold.theta_hat - psi)) < 1e-7
             ll_c, ll_w = cold.loglik_trace[-1], warm.loglik_trace[-1]
             assert abs(ll_w - ll_c) <= 1e-12 * abs(ll_c)
+
+
+def _assert_decisions_follow_responsibilities(res):
+    """s_hat and flat_likelihood are the argmax and the flat rule on gamma."""
+    g = res.responsibilities
+    assert res.s_hat.dtype == np.int64
+    assert np.array_equal(res.s_hat, g.argmax(axis=1))
+    assert res.flat_likelihood == bool(np.abs(g[:, 0] - 0.5).max() < 0.05)
+
+
+def test_run_em_decisions_at_rounding_ties(params_common):
+    # z = 2*mu*x/s2 this close to 0 makes expit(z) and expit(-z) round to
+    # the same value, and the argmax then picks label 0 although z < 0.
+    # The offset stays within a quarter turn of psi, so theta_hat is the
+    # unreduced angle and z can be recomputed exactly as run_em forms it.
+    psi = 0.5
+    a, s2 = params_common.amplitude(), params_common.noise_var()
+    base = sample_block(replace(params_common, theta=psi + 0.2), psi, 200, seed=41).x
+    targets = np.array([-1e-17, -1.2e-16, -2e-16])
+
+    def fit(tail):
+        x = np.concatenate([base, [0.0, -0.0, 5e-324, -5e-324], tail])
+        res = run_em(_block(x), params_common, psi)
+        return x, res, x * (2.0 * a * math.cos(res.theta_hat - psi) / s2)
+
+    _, res, _ = fit(np.zeros(3))
+    scale = 2.0 * a * math.cos(res.theta_hat - psi) / s2
+    x, res, z = fit(targets / scale)
+    assert 0.0 < res.theta_hat - psi + 0.5 < 1.0
+    zt = z[-4:]
+    assert zt[0] < 0 and zt[0] > -1e-322          # a negative subnormal
+    assert np.allclose(zt[1:], targets, rtol=1e-12, atol=0)
+    ties = expit(zt) == expit(-zt)
+    assert ties.tolist() == [True, True, True, False]
+    assert res.s_hat[-4:].tolist() == [0, 0, 0, 1]
+    assert res.s_hat[-7:-4].tolist() == [0, 0, 0]  # x = 0.0, -0.0, +subnormal
+    _assert_decisions_follow_responsibilities(res)
+    assert not res.flat_likelihood
+
+
+def test_run_em_quarter_turn_start_is_flat(params_common):
+    # started a quarter turn from psi the mean is A*cos(pi/2) ~ 1e-16, so
+    # every z is tiny, the likelihood is flat and some z are rounding ties
+    psi = 0.3
+    for seed in range(5):
+        blk = sample_block(params_common, psi, 300, seed=43 + seed)
+        res = run_em(blk, params_common, psi, EmConfig(init_theta=psi + np.pi / 2))
+        g = res.responsibilities
+        assert res.flat_likelihood
+        assert np.any(g[:, 0] == g[:, 1])
+        _assert_decisions_follow_responsibilities(res)
+
+
+def test_run_em_decisions_follow_responsibilities_randomized():
+    rng = np.random.default_rng(77)
+    flats = 0
+    for _ in range(200):
+        psi = float(rng.uniform(0.0, np.pi))
+        params = ChannelParams(
+            E=float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3)))),
+            eta=float(rng.uniform(0.3, 1.0)),
+            Na=float(rng.uniform(0.0, 4.0)),
+            theta=float(rng.uniform(0.0, np.pi)),
+        )
+        blk = sample_block(params, psi, int(rng.integers(1, 400)),
+                           seed=int(rng.integers(1 << 30)))
+        init = None if rng.random() < 0.5 else float(rng.uniform(-np.pi, 2 * np.pi))
+        res = run_em(blk, params, psi, EmConfig(init_theta=init))
+        _assert_decisions_follow_responsibilities(res)
+        flats += res.flat_likelihood
+    assert 0 < flats < 200
+
+
+def test_run_em_loglik_trace_is_loglik_at_iterates(params_common):
+    # iterate k is the final angle of the same run capped at k iterations;
+    # near psi no iterate is reduced mod pi, so theta_hat is that angle
+    psi = 0.8
+    blk = sample_block(params_common, psi, 500, seed=53)
+    cfg = EmConfig(eps=1e-9)
+    res = run_em(blk, params_common, psi, cfg)
+    assert res.iterations >= 3
+    iterates = [run_em(blk, params_common, psi, replace(cfg, l_max=k)).theta_hat
+                for k in range(1, res.iterations + 1)]
+    assert all(abs(th - psi) < 1.0 for th in iterates)
+    expected = np.array([loglik(blk, params_common, psi, th) for th in iterates])
+    assert np.array_equal(res.loglik_trace, expected)
+    assert res.loglik_trace is res.loglik_trace      # built once, then kept
 
 
 def test_em_config_validation():

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from qisac import (
     ChannelParams,
     ExperimentSpec,
     InfeasibleError,
+    NewtonError,
     QisacError,
     QuadratureError,
     ber_theory,
@@ -16,6 +18,7 @@ from qisac import (
     run_tradeoff_sweep,
     score_ber,
     steady_window,
+    trial_seed,
 )
 from qisac.montecarlo import steady_mean, steady_psi
 
@@ -54,6 +57,8 @@ def test_score_ber_coinflip_midpoint():
 def test_score_ber_shape_mismatch():
     with pytest.raises(ValueError):
         score_ber(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        score_ber(np.zeros(0), np.zeros(0))
 
 
 # ------------------------------------------------------------ steady helpers
@@ -165,6 +170,24 @@ def test_convergence_collects_partial_failures(params_common, monkeypatch):
     assert len(res.failures) == 1
     assert res.failures[0][0] == 1
     assert "QuadratureError" in res.failures[0][1]
+
+
+def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, caplog):
+    # a failed trial is reproducible from its log line: index and derived
+    # seed; the line begins with "trial " so failure counters can find it
+    real = mc._single_trial
+
+    def flaky(spec, index):
+        if index == 1:
+            raise NewtonError("forced")
+        return real(spec, index)
+
+    monkeypatch.setattr(mc, "_single_trial", flaky)
+    spec = _spec(params_common, trials=3, t_max=5)
+    with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
+        run_convergence_experiment(spec)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
+    assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: NewtonError: forced"]
 
 
 def test_convergence_all_failed_raises(params_common, monkeypatch):

@@ -6,14 +6,12 @@ import pytest
 from qisac import (
     ChannelParams,
     ObservationBlock,
+    block_mean_derivs,
+    block_means,
     canonical_phase,
-    carrier_phase,
     sample_block,
-    symbol_mean,
-    symbol_mean_deriv,
     trial_seed,
 )
-from qisac.physics import block_mean_derivs, block_means
 
 
 def test_canonical_phase_half_open_contract():
@@ -54,41 +52,33 @@ def test_param_validation():
             ChannelParams(**{"E": 10.0, "eta": 0.8, "Na": 3.0, **bad})
 
 
-def test_carrier_phase():
-    assert carrier_phase(0) == 0.0
-    assert carrier_phase(1) == np.pi
-    with pytest.raises(ValueError):
-        carrier_phase(2)
-    with pytest.raises(ValueError):
-        carrier_phase(-1)
-
-
 def test_symbol_mean_values():
     p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.7)
     # zero offset: cos(0) = 1 and cos(pi) = -1 are exact
-    assert symbol_mean(p, 0.7, 0) == 4.0
-    assert symbol_mean(p, 0.7, 1) == -4.0
+    assert block_means(p, 0.7).tolist() == [4.0, -4.0]
     # quarter-turn offset: both means vanish
     q = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=np.pi / 2)
-    assert abs(symbol_mean(q, 0.0, 0)) < 1e-12
+    assert np.all(np.abs(block_means(q, 0.0)) < 1e-12)
+    # an explicit theta overrides params.theta
+    assert np.array_equal(block_means(q, 0.7, 0.7), block_means(p, 0.7))
 
 
 def test_symbol_mean_deriv_values():
     p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=1.1)
-    assert symbol_mean_deriv(p, 1.1, 0) == 0.0
-    assert abs(symbol_mean_deriv(p, 1.1, 1)) < 1e-12
+    d = block_mean_derivs(p, 1.1)
+    assert d[0] == 0.0
+    assert abs(d[1]) < 1e-12
     q = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=np.pi / 2)
-    assert np.isclose(symbol_mean_deriv(q, 0.0, 0), -4.0, rtol=1e-15)
+    assert np.allclose(block_mean_derivs(q, 0.0), [-4.0, 4.0], rtol=1e-15, atol=0)
 
 
 def test_means_depend_only_on_offset():
     rng = np.random.default_rng(11)
     for _ in range(50):
         theta, psi, delta = rng.uniform(-10, 10, size=3)
-        for m in (0, 1):
-            a = symbol_mean(ChannelParams(10.0, 0.8, 3.0, theta), psi, m)
-            b = symbol_mean(ChannelParams(10.0, 0.8, 3.0, theta + delta), psi + delta, m)
-            assert np.isclose(a, b, rtol=1e-9, atol=1e-9)
+        a = block_means(ChannelParams(10.0, 0.8, 3.0, theta), psi)
+        b = block_means(ChannelParams(10.0, 0.8, 3.0, theta + delta), psi + delta)
+        assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
 def test_antipodality():
@@ -96,14 +86,18 @@ def test_antipodality():
     for _ in range(50):
         p = ChannelParams(10.0, 0.8, 3.0, rng.uniform(-10, 10))
         psi = rng.uniform(-10, 10)
-        assert np.isclose(symbol_mean(p, psi, 1), -symbol_mean(p, psi, 0), atol=1e-12)
+        mu = block_means(p, psi)
+        assert np.isclose(mu[1], -mu[0], atol=1e-12)
+        d = block_mean_derivs(p, psi)
+        assert np.isclose(d[1], -d[0], atol=1e-12)
 
 
 def test_block_means_match_scalar_op():
+    # carrier phases phi_0 = 0 and phi_1 = pi: mu_m = A*cos(phi_m + theta - psi)
     p = ChannelParams(3.0, 0.5, 1.0, theta=0.9)
     mu = block_means(p, 0.2)
-    assert mu[0] == symbol_mean(p, 0.2, 0)
-    assert mu[1] == symbol_mean(p, 0.2, 1)
+    assert mu[0] == p.amplitude() * np.cos(0.0 + 0.9 - 0.2)
+    assert mu[1] == p.amplitude() * np.cos(np.pi + 0.9 - 0.2)
 
 
 def test_block_mean_derivs_match_central_differences():
@@ -133,9 +127,8 @@ def test_sample_block_statistics():
     n = 200_000
     blk = sample_block(p, 0.0, n, seed=7)
     sigma = math.sqrt(p.noise_var())
-    for m in (0, 1):
+    for m, mu in enumerate(block_means(p, 0.0)):
         xs = blk.x[blk.s_true == m]
-        mu = symbol_mean(p, 0.0, m)
         assert abs(xs.mean() - mu) < 4 * sigma / math.sqrt(len(xs))
         assert abs(xs.var() - p.noise_var()) < 0.05 * p.noise_var()
     # equiprobable symbols

@@ -1,0 +1,184 @@
+"""Cost of one outer iteration of the control loop, layer by layer.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python3 tools/bench_layers.py --tag change
+    PYTHONPATH=src python3 tools/bench_layers.py --tag smoke --n 200 --iters 5 --repeats 1
+
+For each block length N it runs one trial of ``run_qisac`` on the channel of
+the benchmark's ``loop_n1k`` workload (E=10, eta=0.8, Na=3, theta=45 deg,
+gamma = 0.6 * F_max, lambda=0.01, eps=0, psi0=90 deg, blocks from
+``sample_block`` seeded as ``qisac run`` seeds them).  The names the
+controller calls are wrapped with timers and minor-page-fault counters
+(``getrusage(RUSAGE_SELF).ru_minflt``, this process only):
+
+- ``sample_block``   drawing the block (the block source),
+- ``run_em``         EM on the block,
+- ``loglik``         reflection scoring against the previous block,
+- ``fisher_symbol``  the block Fisher information,
+- ``rest``           what the whole iteration spends outside those calls,
+- ``total``          the whole iteration, block source to block source.
+
+The first iteration, which pays the one-time ``fc_max``, is not counted.  Each
+N runs ``--repeats`` times and the run with the smallest total is reported,
+so the layer figures of one N always add up to its total.  The result is
+written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import platform
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+import qisac
+from qisac import controller
+from qisac.controller import AlgoConfig, run_qisac
+from qisac.physics import ChannelParams, sample_block, trial_seed
+
+LAYERS = ("sample_block", "run_em", "loglik", "fisher_symbol")
+SEAMS = ("run_em", "loglik", "fisher_symbol")   # names bound in qisac.controller
+PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class _Meter:
+    """Per-layer time and minor faults, counted from the second iteration on."""
+
+    def __init__(self):
+        self.t = -1
+        self.marks: list[tuple[float, int]] = []   # (time, faults) at each block source call
+        self.us = dict.fromkeys(LAYERS, 0.0)
+        self.faults = dict.fromkeys(LAYERS, 0)
+        self.calls = dict.fromkeys(LAYERS, 0)
+
+    def wrap(self, name: str, fn):
+        def timed(*args, **kwargs):
+            f0, t0 = _minflt(), time.perf_counter()
+            out = fn(*args, **kwargs)
+            t1, f1 = time.perf_counter(), _minflt()
+            if self.t >= 1:
+                self.us[name] += (t1 - t0) * 1e6
+                self.faults[name] += f1 - f0
+                self.calls[name] += 1
+            return out
+
+        return timed
+
+
+def measure(n: int, iters: int, seed: int) -> dict:
+    """One trial of ``iters`` counted iterations at block length ``n``."""
+    meter = _Meter()
+    draw = meter.wrap("sample_block", sample_block)
+    seed_t = trial_seed(seed, 0)    # trial 0 of an experiment seeded with ``seed``
+
+    def source(psi: float, t: int):
+        meter.t = t
+        meter.marks.append((time.perf_counter(), _minflt()))
+        return draw(PARAMS, psi, n, trial_seed(seed_t, t))
+
+    cfg = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.01, eps=0.0,
+                     t_max=iters + 1, psi0=math.radians(90.0))
+    saved = {name: getattr(controller, name) for name in SEAMS}
+    try:
+        for name in SEAMS:
+            setattr(controller, name, meter.wrap(name, saved[name]))
+        run_qisac(source, PARAMS, cfg)
+        end = (time.perf_counter(), _minflt())
+    finally:
+        for name, fn in saved.items():
+            setattr(controller, name, fn)
+
+    (t1, f1), (t2, f2) = meter.marks[1], end
+    us = {k: v / iters for k, v in meter.us.items()}
+    faults = {k: v / iters for k, v in meter.faults.items()}
+    us["total"] = (t2 - t1) * 1e6 / iters
+    faults["total"] = (f2 - f1) / iters
+    us["rest"] = us["total"] - sum(us[k] for k in LAYERS)
+    faults["rest"] = faults["total"] - sum(faults[k] for k in LAYERS)
+    return {
+        "n": n,
+        "iterations": iters,
+        "us_per_iter": us,
+        "minflt_per_iter": faults,
+        "calls_per_iter": {k: v / iters for k, v in meter.calls.items()},
+    }
+
+
+def _context() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {
+        "cpu": cpu,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "qisac_src_sha256": _src_digest(),
+    }
+
+
+def _src_digest() -> str:
+    """SHA-256 over the imported qisac package's sources, to tell two trees apart."""
+    h = hashlib.sha256()
+    for f in sorted(Path(qisac.__file__).resolve().parent.glob("*.py")):
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> Path:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tag", required=True, help="names the output BENCH_layers_<tag>.json")
+    ap.add_argument("--n", type=int, nargs="+", default=[1000, 5000, 50000])
+    ap.add_argument("--iters", type=int, default=150, help="counted iterations per run")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--out-dir", type=Path, default=Path("."))
+    args = ap.parse_args(argv)
+    if args.iters < 1 or args.repeats < 1 or min(args.n) < 1:
+        ap.error("--n, --iters and --repeats must be >= 1")
+
+    results = []
+    for n in args.n:
+        runs = [measure(n, args.iters, args.seed) for _ in range(args.repeats)]
+        best = min(runs, key=lambda r: r["us_per_iter"]["total"])
+        best["repeats"] = args.repeats
+        results.append(best)
+        us, flt = best["us_per_iter"], best["minflt_per_iter"]
+        print(f"N={n:>6}: " + "  ".join(
+            f"{k} {us[k]:8.1f} us {flt[k]:6.1f} flt" for k in (*LAYERS, "rest", "total")))
+
+    doc = {
+        "tag": args.tag,
+        "channel": {"E": PARAMS.E, "eta": PARAMS.eta, "Na": PARAMS.Na, "theta": PARAMS.theta},
+        "loop": {"gamma_relative": 0.6, "lam": 0.01, "eps": 0.0, "psi0_deg": 90.0,
+                 "seed": args.seed},
+        "context": _context(),
+        "results": results,
+    }
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"BENCH_layers_{args.tag}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+    return path
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
