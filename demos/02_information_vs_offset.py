@@ -5,8 +5,8 @@ Phase information carried by one homodyne outcome
 How well the channel phase can be estimated from the measurement record
 is governed by the Fisher information of the outcome distribution, a
 function of the offset between the channel phase and the local-oscillator
-phase.  This script tabulates it, compares the exact quadrature value
-with a Monte-Carlo estimate and with the separated-lobe closed form
+phase.  This script tabulates it, compares the exact value with a
+Monte-Carlo estimate and with the separated-lobe closed form
 (A^2/sigma^2) sin^2(offset), and locates the most informative offset.
 
 Two facts shape everything downstream:
@@ -31,7 +31,7 @@ from qisac import (
 params = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.0)
 
 # --- the information profile over offsets -------------------------------
-print(f"{'offset':>8} {'quadrature':>11} {'monte carlo':>12} {'closed form':>12}")
+print(f"{'offset':>8} {'exact':>11} {'monte carlo':>12} {'closed form':>12}")
 for k, off_deg in enumerate((0, 15, 30, 45, 60, 75, 90)):
     p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(off_deg))
     exact = fisher_symbol(p, 0.0).per_symbol

@@ -13,10 +13,11 @@ with ``phi = theta - psi``.  This module provides:
   the same quantity for cross-checks.  The means are antipodal (mu_1 =
   -mu_0 = -mu), so the score (mu'/sigma^2) * (x*tanh(mu*x/sigma^2) - mu) is
   even in x and its mixture variance equals its second moment under the
-  single lobe N(mu, sigma^2).  The quadrature therefore integrates over the
-  standardized lobe variable z = (x - mu)/sigma on one fixed Gauss-Legendre
-  rule with the normal density folded into the weights, the same for every
-  channel and offset;
+  single lobe N(mu, sigma^2).  With z = (x - mu)/sigma and r =
+  A*|cos(phi)|/sigma it factors as F = (A^2 sin^2(phi) / sigma^2) * h(r),
+  h(r) = E_z[((r + z)*tanh(r*(r + z)) - r)^2], one channel-independent h
+  (~2r^2 near 0, -> 1 as the lobes separate), tabulated once per process
+  from a fixed Gauss-Legendre rule in z, so each Fisher value costs O(1);
 * the separated-lobe closed form (A^2/sigma^2) * sin^2(phi), which bounds
   the mixture Fisher information at every offset and is its high-SNR limit
   only where the lobes separate, A*|cos(phi)|/sigma >> 1 (at phi = pi/2
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, roots_legendre
+from scipy.special import erfc
 
 from .errors import InfeasibleError, QuadratureError
 from .physics import (
@@ -64,22 +65,26 @@ __all__ = [
 # Composite Gauss-Legendre in the standardized lobe variable z.
 _PANEL_ORDER = 32
 _MIN_PANELS = 6
-_DEFAULT_NODES = 2048
-_NODE_CAP = 65536
-_REL_TOL = 1e-8
 _TAIL_SIGMAS = 12.0  # truncation at |z| = 12: tail mass < 1e-32
+
+# Table of h (see _h_table); beyond _R_EDGE, h = 1 (1 - h(8) < 1e-15).
+_CHEB_DEGREE = 80
+_R_EDGE = 9.0
+_BUILD_NODES = 4096
+_TABLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FisherReport:
-    """Result of a Fisher-information quadrature.
+    """Fisher information of one channel and offset, from the table of h.
 
     Attributes:
         per_symbol: Fisher information per homodyne outcome (radians^-2).
         block: N * per_symbol for the block length ``n``.
         n: block length used for ``block``.
-        quad_nodes: node count of the reported evaluation.
-        quad_error_est: |result at 2K nodes - result at K nodes|.
+        quad_nodes: node count of the quadrature rule the table was built on.
+        quad_error_est: per_symbol times the relative error certified when
+            the table was built (quadrature doubling and interpolation).
     """
 
     per_symbol: float
@@ -137,7 +142,7 @@ def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     into the weights.  Built on first use and cached read-only.
     """
     panels = max(_MIN_PANELS, nodes // _PANEL_ORDER)
-    xg, wg = roots_legendre(_PANEL_ORDER)
+    xg, wg = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     half = _TAIL_SIGMAS / panels
     mid = -_TAIL_SIGMAS + half * (2 * np.arange(panels) + 1)
     z = (mid[:, None] + half * xg[None, :]).ravel()
@@ -167,51 +172,87 @@ def _fisher_quad(a: float, sigma2: float, phi: float, nodes: int) -> tuple[float
     return float(w @ score**2), len(z)
 
 
-def fisher_symbol(
-    params: ChannelParams,
-    psi: float,
-    n: int = 1,
-    nodes: int = _DEFAULT_NODES,
-) -> FisherReport:
-    """Per-symbol Fisher information of theta at LO phase ``psi``.
+@lru_cache(maxsize=1)
+def _h_table() -> tuple[tuple[float, ...], int, float]:
+    """Chebyshev table of q(r) = h(r) * (1 + r^2) / r^2 on [0, _R_EDGE], built once.
 
-    Evaluates the score variance as a second moment under one lobe,
-    F = E_z[score(mu + sigma*z)^2] with z ~ N(0, 1) on [-12, 12], by
-    composite Gauss-Legendre quadrature (see :func:`_fisher_quad`),
-    doubling the node count until the result is stable to 1e-8 relative
-    (relative to the natural scale A^2/sigma^2 when the result itself
-    underflows toward zero, e.g. at phi = 0).
+    Returns (coefficients c_deg..c_0, build node count, certified relative
+    error).  h(r) is the quadrature Fisher information of the channel
+    A = sqrt(1 + r^2), sigma^2 = 1 at offset atan2(1, r) (mean r, mean
+    derivative -1), sampled one quadrature at a time at the Chebyshev points
+    of the first kind.  Certified: each sample against half the nodes, the
+    interpolant against quadrature at the midpoints between samples and
+    against h = 1 at the edge.
 
     Raises:
-        QuadratureError: node doubling still changes the result beyond the
-            tolerance once the node cap is reached.
+        QuadratureError: the certified error exceeds _TABLE_RTOL.
+    """
+    def q_quad(r: float, nodes: int) -> tuple[float, int]:
+        h, used = _fisher_quad(math.hypot(1.0, r), 1.0, math.atan2(1.0, r), nodes)
+        return h * (1.0 + r * r) / (r * r), used
+
+    n = _CHEB_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    r_nodes = 0.5 * _R_EDGE * (1.0 + np.cos(theta))
+    q_vals, errs = [], []
+    for r in r_nodes.tolist():
+        coarse, _ = q_quad(r, _BUILD_NODES // 2)
+        fine, used = q_quad(r, _BUILD_NODES)
+        q_vals.append(fine)
+        errs.append(abs(fine - coarse) / fine)
+    coef = 2.0 / n * np.cos(np.outer(np.arange(n), theta)) @ q_vals
+    coef[0] /= 2.0
+    coef = tuple(coef[::-1].tolist())
+    checks = [(r, q_quad(r, _BUILD_NODES)[0])
+              for r in (0.5 * (r_nodes[1:] + r_nodes[:-1])).tolist()]
+    checks.append((_R_EDGE, 1.0 + _R_EDGE**-2))
+    errs += [abs(_q_interp(coef, r) - ref) / ref for r, ref in checks]
+    worst = float(np.max(errs))
+    if not worst <= _TABLE_RTOL:
+        raise QuadratureError(
+            f"Fisher table of h certified only to {worst:.3e} relative at {used} nodes"
+        )
+    return coef, used, worst
+
+
+def _q_interp(coef: tuple[float, ...], r: float) -> float:
+    """Clenshaw sum of the Chebyshev series ``coef`` (highest first) at r in [0, _R_EDGE]."""
+    x2 = 4.0 * r / _R_EDGE - 2.0
+    b1 = b2 = 0.0
+    for c in coef:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return b1 - 0.5 * x2 * b2
+
+
+def _fisher(a: float, sigma2: float, phi: float) -> float:
+    """Per-symbol Fisher information (A^2 sin^2(phi) / sigma^2) * h(A|cos(phi)|/sigma)."""
+    s = a * math.sin(phi)
+    c = a * math.cos(phi)
+    ceiling = s * s / sigma2
+    r2 = c * c / sigma2
+    if r2 >= _R_EDGE * _R_EDGE:
+        return ceiling
+    return ceiling * r2 / (1.0 + r2) * _q_interp(_h_table()[0], math.sqrt(r2))
+
+
+def fisher_symbol(params: ChannelParams, psi: float, n: int = 1) -> FisherReport:
+    """Per-symbol Fisher information of theta at LO phase ``psi``.
+
+    Evaluates the closed product F = (A^2 sin^2(phi) / sigma^2) * h(r),
+    r = A*|cos(phi)|/sigma, on the process-wide table of h (see
+    :func:`_h_table`); O(1) per call.  F is exactly 0 at phi = 0.
+
+    Raises:
+        QuadratureError: the table failed its certification when it was
+            built, on the first Fisher evaluation of the process.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    a = params.amplitude()
-    sigma2 = params.noise_var()
-    phi = params.theta - psi
-    scale = a * a / sigma2
-
-    k = max(_PANEL_ORDER, int(nodes))
-    f_k, _ = _fisher_quad(a, sigma2, phi, k)
-    while True:
-        f_2k, n_used = _fisher_quad(a, sigma2, phi, 2 * k)
-        err = abs(f_2k - f_k)
-        if err <= _REL_TOL * max(abs(f_2k), 1e-12 * scale):
-            return FisherReport(
-                per_symbol=f_2k,
-                block=n * f_2k,
-                n=n,
-                quad_nodes=n_used,
-                quad_error_est=err,
-            )
-        if 2 * k >= _NODE_CAP:
-            raise QuadratureError(
-                f"Fisher quadrature did not stabilize at {n_used} nodes "
-                f"(last change {err:.3e}, value {f_2k:.6e}, phi={phi:.6f})"
-            )
-        k, f_k = 2 * k, f_2k
+    _, nodes, rel_err = _h_table()
+    f = _fisher(params.amplitude(), params.noise_var(), params.theta - psi)
+    return FisherReport(
+        per_symbol=f, block=n * f, n=n, quad_nodes=nodes, quad_error_est=f * rel_err
+    )
 
 
 def fisher_symbol_mc(params: ChannelParams, psi: float, trials: int, seed: int) -> float:
@@ -271,15 +312,12 @@ def _fisher_peak(a: float, sigma2: float) -> tuple[float, float]:
     rad.  The phi -> -phi and phi -> pi - phi symmetries make [0, pi/2]
     sufficient.
     """
-    grid = np.linspace(0.0, np.pi / 2, 64)
-    vals = np.array([_fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0] for p in grid])
-    i = int(vals.argmax())
+    grid = np.linspace(0.0, np.pi / 2, 64).tolist()
+    i = int(np.argmax([_fisher(a, sigma2, p) for p in grid]))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
-    phi_star = _golden_max(
-        lambda p: _fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0], lo, hi, 1e-6
-    )
-    return phi_star, _fisher_quad(a, sigma2, phi_star, _DEFAULT_NODES)[0]
+    phi_star = _golden_max(lambda p: _fisher(a, sigma2, p), lo, hi, 1e-6)
+    return phi_star, _fisher(a, sigma2, phi_star)
 
 
 def fisher_argmax(params: ChannelParams) -> tuple[float, float]:
@@ -304,24 +342,14 @@ def optimal_angles(theta_hat: float) -> tuple[float, float]:
     return canonical_phase(theta_hat), canonical_phase(theta_hat + np.pi / 2)
 
 
-@lru_cache(maxsize=256)
-def _fisher_monotone_on_rise(a: float, sigma2: float) -> bool:
-    """Whether F is non-decreasing on [0, argmax] (checked on a 64-point grid)."""
-    phi_star, _ = _fisher_peak(a, sigma2)
-    grid = np.linspace(0.0, phi_star, 64)
-    vals = np.array([_fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0] for p in grid])
-    slack = 1e-12 * a * a / sigma2
-    return bool(np.all(np.diff(vals) >= -slack))
-
-
 def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> ParetoPoint:
     """Best achievable BER when the block Fisher information must reach gamma_min.
 
     With theta known, the error rate is minimized by the smallest offset
     |phi| that still satisfies N*F(phi) >= gamma_min; this function locates
-    that offset by bisection on the rising segment [0, argmax F] (verified
-    monotone on a grid; a dense-grid search is used as fallback when the
-    segment fails the monotonicity check at very low SNR).
+    that offset by bisection on the rising segment [0, argmax F], on which
+    F = (A^2 sin^2(phi) / sigma^2) * h(A*cos(phi)/sigma) is non-decreasing
+    at every A/sigma.
 
     Raises:
         InfeasibleError: gamma_min exceeds the achievable maximum fc_max.
@@ -338,35 +366,17 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
             f"the achievable maximum {fcm:.6g}"
         )
 
-    def fblock(p: float) -> float:
-        return n * _fisher_quad(a, sigma2, p, _DEFAULT_NODES)[0]
-
-    def first_feasible(lo: float, hi: float) -> float:
-        """Bisect [lo, hi] down to adjacent doubles; hi stays feasible, lo infeasible."""
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if fblock(mid) >= gamma_min:
-                hi = mid
-            else:
-                lo = mid
-            mid = 0.5 * (lo + hi)
-        return hi
-
-    if gamma_min <= 0.0:
-        phi = 0.0
-    elif _fisher_monotone_on_rise(a, sigma2):
-        phi = first_feasible(0.0, phi_star)
-    else:
-        # Low-SNR fallback: dense scan for the first feasible offset, then
-        # refine the crossing by bisection on the bracketing cell.
-        grid = np.linspace(0.0, phi_star, 1024)
-        vals = np.array([fblock(p) for p in grid])
-        feasible = np.nonzero(vals >= gamma_min)[0]
-        if len(feasible) == 0:
-            i = len(grid) - 1  # constraint binds only at the refined peak
+    # gamma_min = 0 is met at phi = 0; otherwise bisect [0, argmax F] down
+    # to adjacent doubles, hi staying feasible and lo infeasible
+    lo, hi = 0.0, (phi_star if gamma_min > 0.0 else 0.0)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if n * _fisher(a, sigma2, mid) >= gamma_min:
+            hi = mid
         else:
-            i = int(feasible[0])
-        phi = first_feasible(grid[max(i - 1, 0)], grid[i])
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    phi = hi
 
     sigma = math.sqrt(sigma2)
     return ParetoPoint(

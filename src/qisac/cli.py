@@ -269,6 +269,8 @@ def cmd_analytics(args) -> int:
         raise ConfigError(str(err)) from err
     if args.grid < 2:
         raise ConfigError("--grid must be >= 2")
+    if args.n < 1 or args.pareto_points < 1:
+        raise ConfigError("--n and --pareto-points must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -282,18 +284,18 @@ def cmd_analytics(args) -> int:
                ["phi_deg", "ber_theory", "fisher", "fisher_high_snr"], rows)
 
     phi_star, f_peak = fisher_argmax(params)
+    fcm = fc_max(params, args.n)
     a2s2 = params.amplitude() ** 2 / params.noise_var()
     _write_json(out / "analytics_fcmax.json", {
         "version": __version__,
         "channel": {"E": params.E, "eta": params.eta, "Na": params.Na},
         "n": args.n,
-        "fc_max": fc_max(params, args.n),
+        "fc_max": fcm,
         "fisher_peak_per_symbol": f_peak,
         "phi_argmax_deg": math.degrees(phi_star),
         "upper_bound_n_a2_over_sigma2": args.n * a2s2,
     })
 
-    fcm = fc_max(params, args.n)
     prows = []
     for gf in np.linspace(0.0, 1.0, args.pareto_points):
         pt = pareto_known_theta(params, args.n, gf * fcm)
@@ -429,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

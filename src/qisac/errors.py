@@ -10,7 +10,7 @@ class ConfigError(QisacError):
 
 
 class QuadratureError(QisacError):
-    """Numerical integration failed to converge under node doubling."""
+    """The Fisher table's build quadrature or interpolant failed its certification."""
 
 
 class NewtonError(QisacError):

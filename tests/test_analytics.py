@@ -183,14 +183,52 @@ def test_fisher_quad_matches_two_component_reference():
                 assert abs(g - f) <= 1e-12 * max(f, floor), (E, Na, phi, f, g)
 
 
+def test_fisher_symbol_matches_quadrature_on_reference_grid():
+    # the table of h against the per-call quadrature, on the grid above;
+    # channels whose lobes separate reach r = A|cos(phi)|/sigma >= 9, where
+    # the table takes h = 1
+    phis = np.linspace(0.0, np.pi, 97)
+    past_edge = 0
+    for E in (1e-2, 1e-1, 1.0, 10.0, 100.0, 1e3, 1e4):
+        for Na in (0.0, 0.5, 3.0):
+            p = ChannelParams(E=E, eta=0.8, Na=Na, theta=0.0)
+            a, sigma2 = p.amplitude(), p.noise_var()
+            floor = 1e-12 * a * a / sigma2
+            assert fisher_symbol(p, 0.0).per_symbol == 0.0
+            for phi in phis:
+                got = fisher_symbol(replace(p, theta=float(phi)), 0.0).per_symbol
+                ref, _ = analytics._fisher_quad(a, sigma2, float(phi), 4096)
+                assert abs(got - ref) <= 1e-12 * max(ref, floor), (E, Na, phi, got, ref)
+                past_edge += a * abs(math.cos(phi)) / math.sqrt(sigma2) >= 9.0
+    assert past_edge > 100
+
+
+def test_fisher_rises_to_its_peak_at_every_snr():
+    # F depends on the channel only through rho = A/sigma, and
+    # pareto_known_theta bisects on [0, argmax F], so F must not fall there
+    for rho in np.logspace(-4, 4, 81):
+        phi_star, f_peak = analytics._fisher_peak(float(rho), 1.0)
+        vals = [analytics._fisher(float(rho), 1.0, p)
+                for p in np.linspace(0.0, phi_star, 1024).tolist()]
+        assert vals[-1] == f_peak
+        assert np.all(np.diff(vals) >= -1e-13 * f_peak), rho
+
+
 def test_fisher_quadrature_failure_signalled(monkeypatch):
-    # Make node doubling never settle: result depends on the node budget.
+    # Make the table's build quadrature depend on its node budget, so the
+    # 2048- and 4096-node samples never agree.
     def unstable(a, sigma2, phi, nodes):
         return 1.0 + 1e-3 * math.sin(nodes), nodes
 
-    monkeypatch.setattr(analytics, "_fisher_quad", unstable)
-    with pytest.raises(QuadratureError):
-        fisher_symbol(_params_phi(0.5), 0.0)
+    analytics._h_table.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(analytics, "_fisher_quad", unstable)
+            with pytest.raises(QuadratureError):
+                fisher_symbol(_params_phi(0.5), 0.0)
+    finally:
+        analytics._h_table.cache_clear()
+    assert fisher_symbol(_params_phi(0.5), 0.0).per_symbol > 0.0
 
 
 def test_fisher_rejects_bad_block_length(params_common):

@@ -37,4 +37,11 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert controller.run_em is em.run_em
     assert controller.loglik is em.loglik
     assert controller.fisher_symbol is fisher_symbol
-    assert "N=   120" in capsys.readouterr().out
+    ana = doc["analytics"]
+    assert ana["n"] == 1000
+    for key in ("first_fisher_us", "fc_max_cold_us", "fisher_argmax_cold_us",
+                "pareto_us_per_call"):
+        assert ana[key] > 0, key
+    out = capsys.readouterr().out
+    assert "N=   120" in out
+    assert "pareto_us_per_call" in out

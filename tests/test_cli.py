@@ -202,6 +202,24 @@ def test_analytics_rejects_bad_grid(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"),
+                                        ("--pareto-points", "0"), ("--pareto-points", "-1")])
+def test_analytics_rejects_bad_counts(tmp_path, capsys, flag, value):
+    rc = main(["--out-dir", str(tmp_path / "x"), "analytics", flag, value])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    cfg = _write_doc(tmp_path, _base_doc())
+    rc = main(["--out-dir", str(tmp_path / "x"), "--threads", threads, "run", cfg])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+    assert "--threads" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------- run
 
 def test_run_outputs_and_reproducibility(tmp_path, monkeypatch):
@@ -335,6 +353,23 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert "analytics" in proc.stdout
     assert "sweep" in proc.stdout
+
+
+def test_cli_never_imports_scipy_linalg(tmp_path):
+    # the Fisher table is built on numpy's Gauss-Legendre rule; scipy.linalg
+    # would add tens of milliseconds to the first Fisher value of a process
+    cfg = _write_doc(tmp_path, _base_doc(experiment={"n_block": 50, "trials": 1, "seed": 3}))
+    analytics = ["--out-dir", str(tmp_path / "a"), "analytics", "--grid", "5",
+                 "--pareto-points", "3"]
+    run = ["--out-dir", str(tmp_path / "r"), "--threads", "1", "run", cfg]
+    script = (
+        "import sys\n"
+        "from qisac.cli import main\n"
+        f"assert main({analytics!r}) == 0 and main({run!r}) == 0\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_float_formatting_roundtrip():

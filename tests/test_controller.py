@@ -197,11 +197,11 @@ def test_run_qisac_records_quadrature_failures(params_common, monkeypatch):
     real = controller.fisher_symbol
     state = {"t": -1}
 
-    def flaky(params, psi, n=1, nodes=2048):
+    def flaky(params, psi, n=1):
         state["t"] += 1
         if state["t"] == 2:
             raise QuadratureError("no convergence")
-        return real(params, psi, n=n, nodes=nodes)
+        return real(params, psi, n=n)
 
     monkeypatch.setattr(controller, "fisher_symbol", flaky)
     cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=5, psi0=0.4)

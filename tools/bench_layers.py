@@ -21,8 +21,20 @@ controller calls are wrapped with timers and minor-page-fault counters
 
 The first iteration, which pays the one-time ``fc_max``, is not counted.  Each
 N runs ``--repeats`` times and the run with the smallest total is reported,
-so the layer figures of one N always add up to its total.  The result is
-written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
+so the layer figures of one N always add up to its total.
+
+The analytics path, which ``qisac analytics`` runs once per channel, is timed
+on the same channel with N = 1000 (best of ``--repeats``):
+
+- ``first_fisher_us``      the first ``fisher_symbol`` after every cache of
+  ``qisac.analytics`` is cleared (what the first Fisher value of a process
+  builds, imports excluded),
+- ``fc_max_cold_us``       ``fc_max`` with the per-channel caches cleared,
+- ``fisher_argmax_cold_us`` the same for ``fisher_argmax``,
+- ``pareto_us_per_call``   ``pareto_known_theta`` over the 21 points of the
+  frontier that ``qisac analytics`` writes, per call.
+
+The result is written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
 """
 
 from __future__ import annotations
@@ -42,13 +54,17 @@ import numpy as np
 import scipy
 
 import qisac
-from qisac import controller
+from qisac import analytics, controller
 from qisac.controller import AlgoConfig, run_qisac
 from qisac.physics import ChannelParams, sample_block, trial_seed
 
 LAYERS = ("sample_block", "run_em", "loglik", "fisher_symbol")
 SEAMS = ("run_em", "loglik", "fisher_symbol")   # names bound in qisac.controller
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
+# caches keyed by (A, sigma^2); names a tree lacks are skipped, so one tool
+# times both sides of a change that adds or removes one
+CHANNEL_CACHES = ("_fisher_peak", "_fisher_monotone_on_rise")
+PARETO_POINTS = 21
 
 
 def _minflt() -> int:
@@ -118,6 +134,48 @@ def measure(n: int, iters: int, seed: int) -> dict:
     }
 
 
+def _clear_caches(names) -> None:
+    for name in names:
+        if hasattr(analytics, name):
+            getattr(analytics, name).cache_clear()
+
+
+def _timed_us(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e6
+
+
+def measure_analytics(repeats: int, n: int = 1000) -> dict:
+    """Best-of-``repeats`` cold and per-call costs of the analytics path."""
+    every_cache = [name for name, f in vars(analytics).items() if hasattr(f, "cache_clear")]
+    gammas = [k / (PARETO_POINTS - 1) * analytics.fc_max(PARAMS, n)
+              for k in range(PARETO_POINTS)]
+
+    def first_fisher():
+        _clear_caches(every_cache)
+        return _timed_us(lambda: analytics.fisher_symbol(PARAMS, 0.0))
+
+    def cold(fn):
+        _clear_caches(CHANNEL_CACHES)
+        return _timed_us(fn)
+
+    def pareto():
+        cold(lambda: analytics.fc_max(PARAMS, n))     # warm the channel caches
+        t = _timed_us(lambda: [analytics.pareto_known_theta(PARAMS, n, g) for g in gammas])
+        return t / PARETO_POINTS
+
+    runs = {
+        "first_fisher_us": first_fisher,
+        "fc_max_cold_us": lambda: cold(lambda: analytics.fc_max(PARAMS, n)),
+        "fisher_argmax_cold_us": lambda: cold(lambda: analytics.fisher_argmax(PARAMS)),
+        "pareto_us_per_call": pareto,
+    }
+    out = {key: min(run() for _ in range(repeats)) for key, run in runs.items()}
+    out["n"] = n
+    return out
+
+
 def _context() -> dict:
     cpu = platform.processor()
     try:
@@ -165,6 +223,9 @@ def main(argv: list[str] | None = None) -> Path:
         print(f"N={n:>6}: " + "  ".join(
             f"{k} {us[k]:8.1f} us {flt[k]:6.1f} flt" for k in (*LAYERS, "rest", "total")))
 
+    ana = measure_analytics(args.repeats)
+    print("analytics: " + "  ".join(f"{k} {v:9.1f}" for k, v in ana.items() if k != "n"))
+
     doc = {
         "tag": args.tag,
         "channel": {"E": PARAMS.E, "eta": PARAMS.eta, "Na": PARAMS.Na, "theta": PARAMS.theta},
@@ -172,6 +233,7 @@ def main(argv: list[str] | None = None) -> Path:
                  "seed": args.seed},
         "context": _context(),
         "results": results,
+        "analytics": ana,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_layers_{args.tag}.json"
