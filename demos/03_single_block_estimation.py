@@ -5,7 +5,7 @@ Joint phase estimation and symbol detection on one block
 With the transmitted symbols unknown, the homodyne record is a sample
 from a two-component Gaussian mixture whose component means depend on
 the channel phase.  EM alternates a posterior (soft-detection) step with
-a Newton step on the phase, and its observed-data log-likelihood never
+an exact M-step on the phase, and its observed-data log-likelihood never
 decreases.  This script fits one block, checks the estimate against the
 information-theoretic noise floor over many seeds, and shows the one
 structural blind spot of single-block estimation: the reflection pair.

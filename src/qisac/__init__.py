@@ -29,7 +29,6 @@ from .em import EmConfig, EmResult, e_step, m_step_objective, newton_update, run
 from .errors import (
     ConfigError,
     InfeasibleError,
-    NewtonError,
     QisacError,
     QuadratureError,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ExperimentSpec",
     "FisherReport",
     "InfeasibleError",
-    "NewtonError",
     "ObservationBlock",
     "ParetoPoint",
     "QisacError",

@@ -5,8 +5,8 @@ Configuration files are single JSON documents with three sections::
     {
       "channel":    {"E": 10, "eta": 0.8, "Na": 3, "theta_deg": 45},
       "algo":       {"gamma_frac": 0.6, "lambda": 0.01, "eps": 1e-3,
-                     "t_max": 500, "l_max": 500, "newton_max": 100,
-                     "psi0_deg": 90, "block_refresh": true},
+                     "t_max": 500, "l_max": 500, "psi0_deg": 90,
+                     "block_refresh": true},
       "experiment": {"n_block": 1000, "trials": 50, "seed": 1},
       "sweep":      [[0.1, 3, 5000], ...]          // sweep command only
     }
@@ -14,9 +14,9 @@ Configuration files are single JSON documents with three sections::
 Exactly one of ``gamma_frac`` (fraction of the achievable Fisher maximum) or
 ``gamma_abs`` (absolute block Fisher) must be present.  All angles in files
 and flags are degrees; the library works in radians internally.  ``eps`` is
-the shared tolerance of the outer, EM, and Newton updates; ``eps: 0``
+the shared tolerance of the outer and EM updates; ``eps: 0``
 disables outer early stopping (the run always lasts t_max iterations)
-and leaves the inner tolerances at the default.
+and leaves the EM tolerance at the default.
 
 Outputs are CSV (header row, LF line endings, 17-significant-digit floats)
 plus a JSON summary embedding the resolved config and package version.
@@ -64,7 +64,6 @@ _DEFAULTS_ALGO = {
     "eps": 1e-3,
     "t_max": 500,
     "l_max": 500,
-    "newton_max": 100,
     "psi0_deg": 0.0,
     "block_refresh": True,
 }
@@ -167,7 +166,6 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
         em_cfg = EmConfig(
             eps=inner_eps,
             l_max=_as_int(merged["l_max"], "algo.l_max"),
-            newton_max=_as_int(merged["newton_max"], "algo.newton_max"),
         )
         algo = AlgoConfig(
             gamma_min=gamma,
@@ -225,7 +223,6 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
             "eps": algo.eps,
             "t_max": algo.t_max,
             "l_max": em_cfg.l_max,
-            "newton_max": em_cfg.newton_max,
             "psi0_deg": math.degrees(algo.psi0),
             "block_refresh": algo.block_refresh,
         },

@@ -18,15 +18,17 @@ the phase dithers there instead of meeting the tolerance.
 
 One block measured at a single LO phase determines the channel phase only
 up to reflection about that LO phase (the outcome law is even in the
-offset).  The loop therefore keeps a running likelihood comparison between
-each new estimate and its reflection, scored against the preceding block,
-and switches sides when the accumulated evidence decisively favors the
-reflection.  This keeps the loop tracking the physical phase instead of
-its moving mirror image.
+offset).  The loop therefore holds one earlier block, the anchor, scores
+each new estimate and its reflection against it, and adopts the reflection
+when the anchor decisively favors it.  The current block takes over as the
+anchor whenever its LO phase lies farther, in the |sin 2*delta| sense, from
+the LO phase of the next block.  This keeps the loop tracking the physical
+phase instead of its moving mirror image, also while the LO barely moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -148,51 +150,39 @@ def update_psi(psi: float, psi_tar: float, lam: float) -> float:
     return canonical_phase(psi + lam * wrap_pi(psi_tar - psi))
 
 
-# Accumulated log-likelihood deficit (nats) at which the tracked estimate
-# is abandoned for its reflection: roughly a 150:1 likelihood ratio.  A
-# single block contributes little and noisy evidence about the side when
-# consecutive LO phases are close, so the decision rests on the running
-# total, which drifts upward while the physical phase is tracked and
-# downward while its mirror image is.
+# Log-likelihood margin (nats) by which the anchor block must favor the
+# reflection before it is adopted: roughly a 150:1 likelihood ratio.
 _FLIP_EVIDENCE = 5.0
 
 
 def _resolve_reflection(
     theta_hat: float,
     psi: float,
-    prev_block: ObservationBlock,
-    prev_psi: float,
+    anchor: ObservationBlock,
+    anchor_psi: float,
     params: ChannelParams,
-    evidence: float,
-) -> tuple[float, float]:
-    """Update the reflection evidence; flip the estimate when it demands it.
+) -> float:
+    """Return theta_hat, or its reflection 2*psi - theta_hat if the anchor demands it.
 
     A single block pins the channel phase only up to reflection about the
     LO phase it was measured at: the mixture means are +-A*cos(theta - psi),
     an even function of the offset, so ``theta_hat`` and ``2*psi - theta_hat``
-    fit that block with exactly equal likelihood.  Earlier blocks were
-    measured at other LO phases, and only the physical channel phase stays
-    a likelihood mode across all of them — the reflected candidate moves
-    with psi.  Each call therefore scores the current candidate pair
-    against the previous block and adds the difference to ``evidence``;
-    the per-block noise is independent and averages out, so the total
-    climbs without bound on the physical side and sinks on the mirrored
-    one.  When it sinks below -_FLIP_EVIDENCE the reflection is adopted
-    and the total changes sign with the side.  Responsibilities and hard
-    decisions are reflection-invariant on the current block, so the flip
-    needs no EM re-run.
-
-    Returns the (possibly flipped) estimate and the updated evidence.
+    fit that block with exactly equal likelihood.  A block measured at
+    another LO phase, delta away, tells them apart by its squared means,
+    cos^2(phi - delta) - cos^2(phi + delta) = sin(2*phi) * sin(2*delta)
+    with phi = theta_hat - psi, so the anchor is the held block with the
+    largest |sin 2*delta| (see :func:`run_qisac`).  The reflection is adopted
+    when the anchor's log-likelihood favors it by more than _FLIP_EVIDENCE.
+    Responsibilities and hard decisions are reflection-invariant on the
+    current block, so the flip needs no EM re-run.
     """
     cand = canonical_phase(2.0 * psi - theta_hat)
     if abs(wrap_pi(cand - theta_hat)) <= 1e-9:
-        return theta_hat, evidence
-    evidence += loglik(prev_block, params, prev_psi, theta_hat) - loglik(
-        prev_block, params, prev_psi, cand
+        return theta_hat
+    margin = loglik(anchor, params, anchor_psi, cand) - loglik(
+        anchor, params, anchor_psi, theta_hat
     )
-    if evidence < -_FLIP_EVIDENCE:
-        return cand, -evidence
-    return theta_hat, evidence
+    return cand if margin > _FLIP_EVIDENCE else theta_hat
 
 
 def run_qisac(
@@ -208,8 +198,10 @@ def run_qisac(
     EM warm-starts from the previous iteration's estimate after the first
     pass.  Because one block determines the phase only up to reflection
     about the LO phase (see _resolve_reflection), every estimate after the
-    first is scored against the previous block and the running evidence
-    total decides whether to keep the tracked side or adopt the reflection.
+    first is scored against one held anchor block, which decides whether
+    to keep the estimate or adopt its reflection.  After each iteration the
+    current block replaces the anchor when its LO phase is farther from the
+    next one, |sin 2(psi_block - psi_next)| larger than the anchor's.
     Per-iteration quadrature failures are recorded (the constraint is
     treated as infeasible for that iteration) rather than aborting the run;
     EM failures propagate.
@@ -227,9 +219,8 @@ def run_qisac(
     gamma = None
     theta_hat = None
     s_hat = np.empty(0, dtype=np.int64)
-    prev_block = None
-    prev_psi = 0.0
-    reflect_ll = 0.0
+    anchor = None
+    anchor_psi = 0.0
 
     for t in range(config.t_max):
         if block is None or config.block_refresh:
@@ -243,14 +234,8 @@ def run_qisac(
         # at; with block_refresh off that phase stays psi0 while psi retunes
         res = run_em(block, params, block_psi, em_cfg)
         theta_hat = res.theta_hat
-        if theta_l and abs(wrap_pi(theta_hat - theta_l[-1])) > np.pi / 4:
-            # warm-started EM hopped to the other side on its own; the
-            # accumulated evidence belongs to the side it left
-            reflect_ll = -reflect_ll
-        if prev_block is not None and prev_block is not block:
-            theta_hat, reflect_ll = _resolve_reflection(
-                theta_hat, block_psi, prev_block, prev_psi, params, reflect_ll
-            )
+        if anchor is not None and anchor is not block:
+            theta_hat = _resolve_reflection(theta_hat, block_psi, anchor, anchor_psi, params)
         s_hat = res.s_hat
         em_cfg = replace(em_cfg, init_theta=theta_hat)
 
@@ -273,9 +258,12 @@ def run_qisac(
         targ_l.append(kind)
         flip_l.append(flipped)
 
-        prev_block, prev_psi = block, block_psi
         dpsi = wrap_pi(psi_tar - psi)
         psi = update_psi(psi, psi_tar, config.lam)
+        if anchor is None or abs(math.sin(2.0 * (block_psi - psi))) > abs(
+            math.sin(2.0 * (anchor_psi - psi))
+        ):
+            anchor, anchor_psi = block, block_psi
         if abs(dpsi) < config.eps:
             break
 

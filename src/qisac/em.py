@@ -9,18 +9,21 @@ two-component Gaussian mixture whose means depend on the unknown phase
 The E-step computes posterior symbol probabilities (responsibilities), the
 M-step minimizes the weighted quadratic cost
 
-    J(theta) = sum_n sum_m gamma_nm * (x_n - A*cos(theta + c_m))^2
+    J(theta) = sum_n sum_m gamma_nm * (x_n - A*cos(theta + c_m))^2.
 
-by a safeguarded Newton iteration.  Because the two symbols are antipodal
-(c_1 = c_0 + pi), both steps reduce to the one-dimensional statistic
+Because the two symbols are antipodal (c_1 = c_0 + pi), both steps reduce
+to the one-dimensional statistic
 
     S = sum_n (gamma_n0 - gamma_n1) * x_n = sum_n tanh(mu * x_n / sigma^2) * x_n,
 
 with mu = A*cos(theta - psi) and u = cos(theta - psi):
-J(theta) = sum x^2 - 2*A*S*u + N*A^2*u^2.  So :func:`run_em` makes one O(N)
-pass per EM iteration to form S and runs the Newton M-step in O(1) per
-evaluation; the observed-data log-likelihood is one pass in log-cosh form,
-evaluated at the iterates only when a caller reads ``loglik_trace``.
+J(theta) = sum x^2 - 2*A*S*u + N*A^2*u^2, a quadratic in u minimized at
+u* = clip(S/(N*A), -1, 1).  The M-step is therefore exact,
+theta = psi +- arccos(u*), with the sign of sin(theta_t - psi) kept from
+the current iterate.  :func:`run_em` makes one O(N) pass per EM iteration
+to form S and takes the M-step in O(1); the observed-data log-likelihood is
+one pass in log-cosh form, evaluated at the iterates only when a caller
+reads ``loglik_trace``.
 :func:`e_step`, :func:`m_step_objective` and :func:`m_step_derivatives` keep
 the per-component form as the reference the reduced form is tested against.
 
@@ -31,7 +34,7 @@ fixed point, the likelihood maximum (cf. Xu, Hsu & Maleki, "Global analysis
 of EM for mixtures of two Gaussians", NeurIPS 2016).  Every start off the
 quarter turn (v > 0) reaches the same offset magnitude |theta_hat - psi|, so
 a grid of starts buys nothing; starts differ only in the side of psi they
-end on, which one block cannot decide.
+end on, which one block cannot decide and the M-step keeps from the start.
 
 Because the two symbols are antipodal, ``theta`` is identifiable only modulo
 pi (adding pi swaps the labels); the final estimate is canonicalized to
@@ -48,8 +51,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .analytics import _golden_max
-from .errors import NewtonError
 from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase
 
 __all__ = [
@@ -63,8 +64,6 @@ __all__ = [
     "run_em",
 ]
 
-_H_FLOOR = 1e-12        # curvature below this is treated as non-convex
-_MAX_HALVINGS = 30
 _FLAT_RESP_TOL = 0.05   # responsibilities this close to 1/2 flag degeneracy
 # |z| below which expit(z) and expit(-z) may round to the same value; the
 # true gap is ~|z|/2, so beyond it the two differ by far more than roundoff
@@ -75,22 +74,21 @@ _TIE_BAND = 1e-12
 class EmConfig:
     """Knobs of the EM inner loop.
 
-    eps stops both the EM iteration and the Newton M-step once the phase
-    moves by less than it; l_max and newton_max cap their iteration counts.
+    eps stops the EM iteration once the phase moves by less than it; l_max
+    caps its iteration count.
     init_theta is the one starting angle; None starts at the LO phase psi
     (see :func:`run_em`), a value warm-starts from a previous estimate.
     """
 
     eps: float = 1e-3
     l_max: int = 500
-    newton_max: int = 100
     init_theta: float | None = None
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.l_max < 1 or self.newton_max < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.l_max < 1:
+            raise ValueError("l_max must be >= 1")
 
 
 class EmResult:
@@ -224,54 +222,18 @@ def m_step_derivatives(
     return grad, hess
 
 
-def _newton_min(
-    s: float,
-    w: float,
-    a: float,
-    psi: float,
-    theta_t: float,
-    newton_max: int,
-    tol: float,
-) -> float:
-    """Safeguarded Newton on the reduced cost Jr(theta) = -2*a*s*u + w*a^2*u^2.
+def _m_step(s: float, w: float, a: float, psi: float, theta_t: float) -> float:
+    """Exact minimizer of J on theta_t's side of psi.
 
-    u = cos(theta - psi), s = sum (gamma_0 - gamma_1) * x, w = sum gamma.
-    Jr differs from J by the theta-free constant sum (gamma_0 + gamma_1) * x^2,
-    which is dropped so the accept test compares O(1) quantities without
-    cancellation; each evaluation is O(1).
+    J depends on theta only through u = cos(theta - psi), as the quadratic
+    -2*a*s*u + w*a^2*u^2 plus a theta-free constant, with s = sum (gamma_0 -
+    gamma_1) * x and w = sum gamma.  Its minimizers are
+    psi +- arccos(clip(s/(w*a), -1, 1)); the one returned keeps the sign of
+    sin(theta_t - psi) (the + side at theta_t = psi), because J cannot
+    tell the two apart and the side belongs to the caller.
     """
-
-    def J(th: float) -> float:
-        u = math.cos(th - psi)
-        return a * u * (w * a * u - 2.0 * s)
-
-    theta = theta_t
-    for _ in range(newton_max):
-        d = theta - psi
-        u = math.cos(d)
-        grad = 2.0 * a * math.sin(d) * (s - w * a * u)
-        hess = 2.0 * a * (u * s - w * a * math.cos(2.0 * d))
-        j0 = J(theta)
-        accepted = False
-        if hess > _H_FLOOR:
-            step = -grad / hess
-            for _ in range(_MAX_HALVINGS + 1):
-                cand = theta + step
-                if J(cand) <= j0:
-                    accepted = True
-                    break
-                step *= 0.5
-        if not accepted:
-            cand = _golden_max(lambda t: -J(t), theta - np.pi / 2, theta + np.pi / 2, 1e-6)
-            if J(cand) > j0 + 1e-9 * max(1.0, abs(j0)):
-                raise NewtonError(
-                    f"M-step failed to decrease the objective at theta={theta:.6f}"
-                )
-            step = cand - theta
-        theta = cand
-        if abs(step) < tol:
-            break
-    return float(theta)
+    u = min(1.0, max(-1.0, s / (w * a)))
+    return psi + math.copysign(math.acos(u), math.sin(theta_t - psi))
 
 
 def newton_update(
@@ -280,27 +242,17 @@ def newton_update(
     psi: float,
     theta_t: float,
     responsibilities: np.ndarray,
-    newton_max: int = 100,
-    newton_tol: float = 1e-3,
 ) -> float:
-    """Minimize J over theta by safeguarded Newton from theta_t.
+    """The M-step: minimize J over theta in closed form, on theta_t's side of psi.
 
-    A Newton step is accepted only when the curvature exceeds a small floor
-    and the step does not increase J; otherwise the step is halved (up to 30
-    times) and, failing that, one golden-section minimization over
-    [theta_t - pi/2, theta_t + pi/2] replaces the step.  Runs until
-    |step| < newton_tol or newton_max iterations.  J depends on the data
-    only through S = sum (gamma_0 - gamma_1) * x and sum gamma, so the
-    iteration itself is O(1) per step.
-
-    Raises:
-        NewtonError: not even the golden-section fallback decreased J.
+    J depends on the data only through S = sum (gamma_0 - gamma_1) * x and
+    sum gamma, and on theta only through cos(theta - psi), so its global
+    minimizers are the reflection pair psi +- arccos(clip(S/(sum gamma * A)))
+    and the result never increases J.
     """
     g = responsibilities
     s = float((g[:, 0] - g[:, 1]) @ block.x)
-    return _newton_min(
-        s, float(g.sum()), params.amplitude(), psi, theta_t, newton_max, newton_tol
-    )
+    return _m_step(s, float(g.sum()), params.amplitude(), psi, theta_t)
 
 
 def run_em(
@@ -329,9 +281,6 @@ def run_em(
     the offset magnitude |theta_hat - psi| is meaningful from one block;
     callers holding data taken at several LO phases can break the tie (the
     controller does).
-
-    Raises:
-        NewtonError: the M-step failed to decrease its objective.
     """
     a = params.amplitude()
     sigma2 = params.noise_var()
@@ -344,7 +293,7 @@ def run_em(
         mu = a * math.cos(theta - psi)
         t = x * (mu / sigma2)
         s = float(np.tanh(t, out=t) @ x)
-        theta_new = _newton_min(s, block.n, a, psi, theta, config.newton_max, config.eps)
+        theta_new = _m_step(s, block.n, a, psi, theta)
         thetas.append(theta_new)
         step = theta_new - theta
         theta = theta_new

@@ -13,9 +13,5 @@ class QuadratureError(QisacError):
     """The Fisher table's build quadrature or interpolant failed its certification."""
 
 
-class NewtonError(QisacError):
-    """Safeguarded Newton minimization failed to decrease the objective."""
-
-
 class InfeasibleError(QisacError):
     """A Fisher-information constraint exceeds the achievable maximum."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import ParetoPoint, fc_max, pareto_known_theta
 from .controller import AlgoConfig, RunTrace, run_qisac
-from .errors import NewtonError, QisacError, QuadratureError
+from .errors import QisacError, QuadratureError
 from .physics import ChannelParams, sample_block, trial_seed
 
 __all__ = [
@@ -150,7 +150,7 @@ def _run_trials(spec: ExperimentSpec, threads: int) -> tuple[list[RunTrace], lis
     def guarded(i: int):
         try:
             return i, _single_trial(spec, i), None
-        except (NewtonError, QuadratureError) as err:
+        except QuadratureError as err:
             return i, None, f"{type(err).__name__}: {err}"
 
     if threads > 1:

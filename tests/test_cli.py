@@ -69,8 +69,8 @@ def test_parse_config_shared_eps_reaches_em():
 
 
 def test_parse_config_zero_eps_disables_outer_stop_only():
-    # eps: 0 means "always run t_max iterations"; the inner EM/Newton
-    # tolerances cannot be zero, so they fall back to the default
+    # eps: 0 means "always run t_max iterations"; the inner EM tolerance
+    # cannot be zero, so it falls back to the default
     doc = _base_doc()
     doc["algo"]["eps"] = 0.0
     spec, echo, _ = parse_config(doc, "run")
@@ -97,7 +97,7 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     lambda d: d["experiment"].update(seed=5.5),
     lambda d: d["algo"].update(t_max=2.7),
     lambda d: d["algo"].update(l_max=10.5),
-    lambda d: d["algo"].update(newton_max="100"),
+    lambda d: d["algo"].update(newton_max="100"),     # not an algo key
     lambda d: d["algo"].update(t_max=True),
     lambda d: d["algo"].update(block_refresh="false"),
     lambda d: d["algo"].update(block_refresh=0),

@@ -10,7 +10,6 @@ from qisac import (
     ChannelParams,
     ExperimentSpec,
     InfeasibleError,
-    NewtonError,
     QisacError,
     QuadratureError,
     ber_theory,
@@ -179,7 +178,7 @@ def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, 
 
     def flaky(spec, index):
         if index == 1:
-            raise NewtonError("forced")
+            raise QuadratureError("forced")
         return real(spec, index)
 
     monkeypatch.setattr(mc, "_single_trial", flaky)
@@ -187,7 +186,7 @@ def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, 
     with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
         run_convergence_experiment(spec)
     msgs = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
-    assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: NewtonError: forced"]
+    assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: QuadratureError: forced"]
 
 
 def test_convergence_all_failed_raises(params_common, monkeypatch):

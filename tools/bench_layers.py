@@ -14,7 +14,7 @@ controller calls are wrapped with timers and minor-page-fault counters
 
 - ``sample_block``   drawing the block (the block source),
 - ``run_em``         EM on the block,
-- ``loglik``         reflection scoring against the previous block,
+- ``loglik``         reflection scoring against the held anchor block,
 - ``fisher_symbol``  the block Fisher information,
 - ``rest``           what the whole iteration spends outside those calls,
 - ``total``          the whole iteration, block source to block source.
