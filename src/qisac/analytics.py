@@ -346,19 +346,28 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
     """Best achievable BER when the block Fisher information must reach gamma_min.
 
     With theta known, the error rate is minimized by the smallest offset
-    |phi| that still satisfies N*F(phi) >= gamma_min; this function locates
-    that offset by bisection on the rising segment [0, argmax F], on which
-    F = (A^2 sin^2(phi) / sigma^2) * h(A*cos(phi)/sigma) is non-decreasing
-    at every A/sigma.
+    |phi| that still satisfies N*F(phi) >= gamma_min.  F = (A^2 sin^2(phi) /
+    sigma^2) * h(A*cos(phi)/sigma) is non-decreasing on [0, argmax F] at
+    every A/sigma, so the offset is the root of g = N*F - gamma_min there,
+    located by an Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+    on a bracket [lo, hi] with the invariant: lo is infeasible, hi is
+    feasible under the test N*F(phi) >= gamma_min, and the loop ends when
+    no double lies strictly between them; hi is returned.  The values of g
+    only choose the next point.  A secant point that is not strictly inside
+    the bracket, or a bracket that has not halved over three steps, gives
+    way to bisection, in the exponent (sqrt(lo*hi)) while hi > 4*lo > 0, so
+    even a tiny gamma_min, whose offset lies hundreds of binary orders
+    below argmax F, costs tens of evaluations.
 
     Raises:
+        ValueError: gamma_min is negative or NaN.
         InfeasibleError: gamma_min exceeds the achievable maximum fc_max.
     """
-    if gamma_min < 0:
+    if not gamma_min >= 0:
         raise ValueError(f"gamma_min must be non-negative, got {gamma_min}")
     a = params.amplitude()
     sigma2 = params.noise_var()
-    phi_star, f_peak = _fisher_peak(a, sigma2)
+    phi_peak, f_peak = _fisher_peak(a, sigma2)
     fcm = n * f_peak
     if gamma_min > fcm:
         raise InfeasibleError(
@@ -366,15 +375,27 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
             f"the achievable maximum {fcm:.6g}"
         )
 
-    # gamma_min = 0 is met at phi = 0; otherwise bisect [0, argmax F] down
-    # to adjacent doubles, hi staying feasible and lo infeasible
-    lo, hi = 0.0, (phi_star if gamma_min > 0.0 else 0.0)
+    # gamma_min = 0 is met at phi = 0; otherwise g(0) = -gamma_min < 0 and
+    # g(argmax F) = fc_max - gamma_min >= 0
+    lo, hi = 0.0, (phi_peak if gamma_min > 0.0 else 0.0)
+    g_lo, g_hi = -gamma_min, fcm - gamma_min
+    moved = 0                       # +1 / -1: the last step moved hi / lo
+    widths = [math.inf] * 3         # bracket width before each of the last three steps
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if n * _fisher(a, sigma2, mid) >= gamma_min:
-            hi = mid
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not (lo < x < hi and hi - lo <= 0.5 * widths[0]):
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo > 0.0 else mid
+        widths = widths[1:] + [hi - lo]
+        nf = n * _fisher(a, sigma2, x)
+        if nf >= gamma_min:
+            if moved == 1:
+                g_lo *= 0.5
+            hi, g_hi, moved = x, nf - gamma_min, 1
         else:
-            lo = mid
+            if moved == -1:
+                g_hi *= 0.5
+            lo, g_lo, moved = x, nf - gamma_min, -1
         mid = 0.5 * (lo + hi)
     phi = hi
 

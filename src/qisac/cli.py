@@ -105,10 +105,16 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_float(value, where: str) -> float:
-    """A JSON number (2 or 2.5); strings, booleans and null are rejected."""
+    """A finite JSON number (2 or 2.5); strings, booleans, null, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:           # an integer literal beyond the double range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return x
 
 
 def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
@@ -271,12 +277,12 @@ def cmd_analytics(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    phis_deg = np.linspace(0.0, 180.0, args.grid)
+    # offset phi on the theta = 0 channel is the LO phase -phi (0 - (-phi) == phi exactly)
     rows = []
-    for pd in phis_deg:
-        p = replace(params, theta=math.radians(pd))
-        rep = fisher_symbol(p, 0.0)
-        rows.append((float(pd), ber_theory(p, 0.0), rep.per_symbol, fisher_high_snr(p, 0.0)))
+    for pd in np.linspace(0.0, 180.0, args.grid).tolist():
+        psi = -math.radians(pd)
+        rows.append((pd, ber_theory(params, psi), fisher_symbol(params, psi).per_symbol,
+                     fisher_high_snr(params, psi)))
     _write_csv(out / "analytics_grid.csv",
                ["phi_deg", "ber_theory", "fisher", "fisher_high_snr"], rows)
 

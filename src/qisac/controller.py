@@ -76,8 +76,8 @@ class AlgoConfig:
     def __post_init__(self):
         if not 0 < self.lam <= 1:
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
-        if self.gamma_min < 0:
-            raise ValueError("gamma_min must be non-negative")
+        if not 0 <= self.gamma_min < math.inf:
+            raise ValueError(f"gamma_min must be finite and non-negative, got {self.gamma_min}")
         if self.gamma_relative and self.gamma_min > 1:
             raise ValueError("relative gamma_min must lie in [0, 1]")
         if self.t_max < 1:

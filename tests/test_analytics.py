@@ -362,3 +362,86 @@ def test_pareto_infeasible(params_theta0):
         pareto_known_theta(params_theta0, 1000, 1.001 * fcm)
     with pytest.raises(ValueError):
         pareto_known_theta(params_theta0, 1000, -1.0)
+    # nan < 0 is False, so a plain sign test would let NaN through as phi* = 0
+    with pytest.raises(ValueError):
+        pareto_known_theta(params_theta0, 1000, float("nan"))
+
+
+# E x Na x 21 fractions of fc_max, eta = 0.8, N = 1000: 441 frontier points
+_ROOT_E = (0.01, 0.05, 0.2, 1.0, 10.0, 300.0, 1000.0)
+_ROOT_NA = (0.0, 0.7, 3.0)
+_ROOT_FRACS = [k / 20 for k in range(21)]
+
+
+def _root_channels():
+    return [ChannelParams(E=e, eta=0.8, Na=na, theta=0.0) for e in _ROOT_E for na in _ROOT_NA]
+
+
+def _reference_bisection(params: ChannelParams, n: int, gamma: float) -> float:
+    """Smallest feasible offset by plain bisection on [0, argmax F] to adjacent doubles."""
+    lo, hi = 0.0, (fisher_argmax(params)[0] if gamma > 0.0 else 0.0)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if n * analytics._fisher(params.amplitude(), params.noise_var(), mid) >= gamma:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _ulps(x: float, y: float) -> int:
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+def test_pareto_root_is_the_first_feasible_double():
+    for p in _root_channels():
+        fcm = fc_max(p, 1000)
+        for frac in _ROOT_FRACS[1:]:
+            gamma = frac * fcm
+            phi = pareto_known_theta(p, 1000, gamma).phi_star
+            info = fisher_symbol(replace(p, theta=phi), 0.0, n=1000).block
+            below = fisher_symbol(replace(p, theta=np.nextafter(phi, 0.0)), 0.0, n=1000).block
+            assert info >= gamma, (p, frac)
+            assert not below >= gamma, (p, frac)
+
+
+def test_pareto_root_matches_reference_bisection():
+    # F is not monotone at ulp scale, so the first feasible double the two
+    # searches land on may differ by a few ulps; at gamma = fc_max F is flat
+    # and the feasible set is ~sqrt(eps) wide
+    for p in _root_channels():
+        fcm = fc_max(p, 1000)
+        for frac in _ROOT_FRACS:
+            gamma = frac * fcm
+            got = pareto_known_theta(p, 1000, gamma).phi_star
+            ref = _reference_bisection(p, 1000, gamma)
+            if frac <= 0.95:
+                assert _ulps(got, ref) <= 8, (p, frac, got, ref)
+            else:
+                assert abs(got - ref) <= 1e-8 * ref, (p, frac, got, ref)
+
+
+def test_pareto_root_evaluation_count(monkeypatch):
+    calls = [0]
+    fisher = analytics._fisher
+
+    def counting(*args):
+        calls[0] += 1
+        return fisher(*args)
+
+    monkeypatch.setattr(analytics, "_fisher", counting)
+    per_point = []
+    for p in _root_channels():
+        fcm = fc_max(p, 1000)              # the peak search is cached per channel
+        for frac in _ROOT_FRACS:
+            calls[0] = 0
+            pareto_known_theta(p, 1000, frac * fcm)
+            per_point.append(calls[0])
+    assert np.mean(per_point) <= 20.0
+    # the offset sits ~500 binary orders below argmax F; plain bisection needs 557
+    p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.0)
+    fc_max(p, 1000)
+    calls[0] = 0
+    assert pareto_known_theta(p, 1000, 1e-300).phi_star > 0.0
+    assert calls[0] < 100

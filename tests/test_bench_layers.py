@@ -2,8 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qisac import controller, em
-from qisac.analytics import fisher_symbol
+from qisac import analytics, cli, controller, em
+from qisac.analytics import _fisher, fisher_symbol
+from qisac.cli import _write_csv
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
 
@@ -40,8 +41,12 @@ def test_bench_layers_smoke(tmp_path, capsys):
     ana = doc["analytics"]
     assert ana["n"] == 1000
     for key in ("first_fisher_us", "fc_max_cold_us", "fisher_argmax_cold_us",
-                "pareto_us_per_call"):
+                "pareto_us_per_call", "grid_us"):
         assert ana[key] > 0, key
+    # 20 of the 21 frontier points search for a root (gamma = 0 needs none)
+    assert 1.0 <= ana["pareto_fisher_evals_per_call"] <= 20.0
+    assert analytics._fisher is _fisher
+    assert cli._write_csv is _write_csv
     out = capsys.readouterr().out
     assert "N=   120" in out
     assert "pareto_us_per_call" in out

@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import qisac.cli as cli
-from qisac import ConfigError, q_function
+from qisac import (
+    ChannelParams,
+    ConfigError,
+    ber_theory,
+    fisher_high_snr,
+    fisher_symbol,
+    q_function,
+)
 from qisac.cli import main, parse_config
 
 
@@ -114,6 +121,13 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     lambda d: d["algo"].update(psi0_deg=False),
     lambda d: d.update(sweep=[[True, 3.0, 150]]),
     lambda d: d.update(sweep=[[0.2, "3", 150]]),
+    lambda d: d["algo"].update(gamma_frac=float("nan")),
+    lambda d: (d["algo"].pop("gamma_frac"), d["algo"].update(gamma_abs=float("nan"))),
+    lambda d: (d["algo"].pop("gamma_frac"), d["algo"].update(gamma_abs=float("inf"))),
+    lambda d: d["algo"].update(eps=float("inf")),
+    lambda d: d["channel"].update(theta_deg=float("-inf")),
+    lambda d: d["channel"].update(E=10**400),           # integer beyond the double range
+    lambda d: d.update(sweep=[[float("nan"), 3.0, 150]]),
 ])
 def test_parse_config_rejects_malformed(mutate):
     doc = _base_doc()
@@ -194,6 +208,20 @@ def test_analytics_outputs(tmp_path):
     assert len(pareto) == 6
     bers = [float(r.split(",")[3]) for r in pareto[1:]]
     assert bers == sorted(bers)
+
+
+def test_analytics_grid_matches_library_at_each_offset(tmp_path):
+    # the grid row at phi is the theta = phi channel read at LO phase 0
+    assert main(["--out-dir", str(tmp_path), "analytics", "--E", "3.7", "--Na", "0.4",
+                 "--grid", "37", "--n", "50", "--pareto-points", "2"]) == 0
+    rows = (tmp_path / "analytics_grid.csv").read_text().splitlines()[1:]
+    assert len(rows) == 37
+    for row in rows:
+        pd, ber, fisher, high_snr = (float(v) for v in row.split(","))
+        p = ChannelParams(E=3.7, eta=0.8, Na=0.4, theta=math.radians(pd))
+        assert ber == ber_theory(p, 0.0)
+        assert fisher == fisher_symbol(p, 0.0).per_symbol
+        assert high_snr == fisher_high_snr(p, 0.0)
 
 
 def test_analytics_rejects_bad_grid(tmp_path):
@@ -288,6 +316,20 @@ def test_run_boolean_channel_value_exits_2(tmp_path):
     rc = main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ['"gamma_frac": NaN', '"gamma_abs": NaN',
+                                   '"gamma_abs": Infinity'])
+def test_run_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
+    # json accepts the NaN and Infinity literals, so the file parses
+    text = json.dumps(_base_doc()).replace('"gamma_frac": 0.6', gamma)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "nonfinite"
+    rc = main(["--out-dir", str(out), "run", str(cfg)])
+    assert rc == 2
+    assert not out.exists()
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_run_missing_config_file_exits_2(tmp_path):

@@ -260,3 +260,6 @@ def test_algo_config_validation():
         AlgoConfig(gamma_min=0.0, eps=-1e-3)
     with pytest.raises(ValueError):
         AlgoConfig(gamma_min=0.0, psi0=float("nan"))
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma_min"):
+            AlgoConfig(gamma_min=gamma)

@@ -32,7 +32,12 @@ on the same channel with N = 1000 (best of ``--repeats``):
 - ``fc_max_cold_us``       ``fc_max`` with the per-channel caches cleared,
 - ``fisher_argmax_cold_us`` the same for ``fisher_argmax``,
 - ``pareto_us_per_call``   ``pareto_known_theta`` over the 21 points of the
-  frontier that ``qisac analytics`` writes, per call.
+  frontier that ``qisac analytics`` writes, per call,
+- ``pareto_fisher_evals_per_call`` the Fisher evaluations (``_fisher``) those
+  21 calls make, per call, with the channel's peak search already cached,
+- ``grid_us``              the 181-point offset grid as ``qisac analytics``
+  builds it: ``cli.cmd_analytics`` on the theta = 0 channel from entry to its
+  first CSV write (which is not made), with the table of h already built.
 
 The result is written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
 """
@@ -47,6 +52,7 @@ import os
 import platform
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,7 +60,7 @@ import numpy as np
 import scipy
 
 import qisac
-from qisac import analytics, controller
+from qisac import analytics, cli, controller
 from qisac.controller import AlgoConfig, run_qisac
 from qisac.physics import ChannelParams, sample_block, trial_seed
 
@@ -146,7 +152,49 @@ def _timed_us(fn) -> float:
     return (time.perf_counter() - t0) * 1e6
 
 
-def measure_analytics(repeats: int, n: int = 1000) -> dict:
+def _pareto_fisher_evals(gammas, n: int) -> float:
+    """Mean ``_fisher`` calls of ``pareto_known_theta`` over ``gammas``, peak search cached."""
+    analytics.fc_max(PARAMS, n)
+    fisher, calls = analytics._fisher, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return fisher(*args)
+
+    analytics._fisher = counting
+    try:
+        for g in gammas:
+            analytics.pareto_known_theta(PARAMS, n, g)
+    finally:
+        analytics._fisher = fisher
+    return calls[0] / len(gammas)
+
+
+class _GridDone(Exception):
+    pass
+
+
+def _grid_us(out_dir: Path) -> float:
+    """``cmd_analytics`` from entry to its first CSV write, the offset grid."""
+    args = cli.build_parser().parse_args(
+        ["--out-dir", str(out_dir), "analytics", "--E", repr(PARAMS.E),
+         "--eta", repr(PARAMS.eta), "--Na", repr(PARAMS.Na)])
+
+    def stop(*_):
+        raise _GridDone(time.perf_counter())
+
+    write_csv, cli._write_csv = cli._write_csv, stop
+    try:
+        t0 = time.perf_counter()
+        cli.cmd_analytics(args)
+    except _GridDone as done:
+        return (done.args[0] - t0) * 1e6
+    finally:
+        cli._write_csv = write_csv
+    raise RuntimeError("cmd_analytics wrote no CSV")
+
+
+def measure_analytics(repeats: int, out_dir: Path, n: int = 1000) -> dict:
     """Best-of-``repeats`` cold and per-call costs of the analytics path."""
     every_cache = [name for name, f in vars(analytics).items() if hasattr(f, "cache_clear")]
     gammas = [k / (PARETO_POINTS - 1) * analytics.fc_max(PARAMS, n)
@@ -170,8 +218,10 @@ def measure_analytics(repeats: int, n: int = 1000) -> dict:
         "fc_max_cold_us": lambda: cold(lambda: analytics.fc_max(PARAMS, n)),
         "fisher_argmax_cold_us": lambda: cold(lambda: analytics.fisher_argmax(PARAMS)),
         "pareto_us_per_call": pareto,
+        "grid_us": lambda: _grid_us(out_dir),
     }
     out = {key: min(run() for _ in range(repeats)) for key, run in runs.items()}
+    out["pareto_fisher_evals_per_call"] = _pareto_fisher_evals(gammas, n)
     out["n"] = n
     return out
 
@@ -223,7 +273,8 @@ def main(argv: list[str] | None = None) -> Path:
         print(f"N={n:>6}: " + "  ".join(
             f"{k} {us[k]:8.1f} us {flt[k]:6.1f} flt" for k in (*LAYERS, "rest", "total")))
 
-    ana = measure_analytics(args.repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        ana = measure_analytics(args.repeats, Path(tmp))
     print("analytics: " + "  ".join(f"{k} {v:9.1f}" for k, v in ana.items() if k != "n"))
 
     doc = {
