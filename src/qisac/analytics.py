@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InfeasibleError, QuadratureError
 from .physics import (
@@ -45,6 +45,7 @@ from .physics import (
     block_mean_derivs,
     block_means,
     canonical_phase,
+    expit,
     sample_block,
 )
 
@@ -109,7 +110,7 @@ class ParetoPoint:
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = (1/2) * erfc(x / sqrt(2))."""
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ber_theory(params: ChannelParams, psi: float) -> float:
@@ -126,11 +127,9 @@ def _mixture_score(x, mu, dmu, sigma2):
     (x - mu) - 2x*expit(-2*mu*x/sigma2) so that nothing cancels when the
     lobes separate and tanh saturates.  ``mu`` and ``dmu`` are the mean of
     symbol 0 and its theta-derivative; the score is even in ``x``.  The
-    logistic is formed as 1/(1 + e^t) with t clipped at 700, where it is
-    already below 1e-304, so the exponential never overflows.
+    logistic is the shared, overflow-safe :func:`qisac.physics.expit`.
     """
-    t = np.minimum(2.0 * mu / sigma2 * x, 700.0)
-    return dmu / sigma2 * ((x - mu) - 2.0 * x / (1.0 + np.exp(t)))
+    return dmu / sigma2 * ((x - mu) - 2.0 * x * expit(-2.0 * mu / sigma2 * x))
 
 
 @lru_cache(maxsize=8)
@@ -142,7 +141,7 @@ def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     into the weights.  Built on first use and cached read-only.
     """
     panels = max(_MIN_PANELS, nodes // _PANEL_ORDER)
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    xg, wg = leggauss(_PANEL_ORDER)
     half = _TAIL_SIGMAS / panels
     mid = -_TAIL_SIGMAS + half * (2 * np.arange(panels) + 1)
     z = (mid[:, None] + half * xg[None, :]).ravel()

@@ -49,9 +49,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase
+from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase, expit
 
 __all__ = [
     "EmConfig",

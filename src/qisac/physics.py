@@ -12,8 +12,8 @@ Gaussian,
 
 so every statistic of the link depends on ``(theta, psi)`` only through the
 effective offset ``phi = theta - psi``.  This module holds the parameter
-container, the mean/derivative formulas, and a bit-reproducible sampler for
-blocks of outcomes.
+container, the mean/derivative formulas, a bit-reproducible block sampler
+and the overflow-safe logistic shared by EM and the Fisher score.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 __all__ = [
     "ChannelParams",
@@ -145,23 +145,25 @@ def trial_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) & _MASK64) ^ _splitmix64(int(index))
 
 
+def expit(z):
+    """Elementwise logistic 1/(1 + e^-z), exponent clipped at 700 so e^-z never overflows."""
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 700.0)))
+
+
 def sample_block(params: ChannelParams, psi: float, n: int, seed: int) -> ObservationBlock:
     """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
 
     Symbols are equiprobable on {0, 1}. Outcomes are Gaussian with the
-    symbol-conditional mean and variance of the link. Sampling uses a
-    counter-based generator (Philox) and the inverse normal CDF, so a block
-    is a pure function of (params, psi, n, seed): same inputs, bit-identical
-    outputs, and distinct seeds give independent streams.
+    symbol-conditional mean and variance of the link. One counter-based
+    generator (Philox) keyed by the seed draws the symbols, then the noise,
+    so a block is a pure function of (params, psi, n, seed): same inputs,
+    bit-identical outputs, and distinct seeds give independent streams.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng = Generator(Philox(key=int(seed) & _MASK64))
     s = rng.integers(0, 2, size=n)
-    # Uniform on the open interval (0,1) so ndtri never returns +-inf.
-    u = rng.integers(1, 1 << 53, size=n) * 2.0**-53
-    noise = ndtri(u, out=u)
-    noise *= np.sqrt(params.noise_var())
-    x = block_means(params, psi).take(s)
-    x += noise
+    x = rng.standard_normal(n)
+    x *= np.sqrt(params.noise_var())
+    x += block_means(params, psi).take(s)
     return ObservationBlock(x=x, s_true=s, seed=int(seed) & _MASK64)

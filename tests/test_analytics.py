@@ -30,6 +30,20 @@ BER_COMMON_PHI0 = 0.016254722322859766  # Q(4/sqrt(3.5))
 # against the Monte-Carlo score-variance estimator (agreement well within
 # one standard error at 1e6 samples).
 F_COMMON_45DEG = 2.099012100766802
+# Q(x) at x = -8, -7.5, ..., 8, frozen from mpmath 1.3.0 at 50 digits
+Q_REFERENCE = (
+    0.9999999999999993, 0.9999999999999681, 0.9999999999987201,
+    0.99999999995984, 0.9999999990134123, 0.9999999810104375,
+    0.9999997133484281, 0.9999966023268753, 0.9999683287581669,
+    0.9997673709209645, 0.9986501019683699, 0.9937903346742238,
+    0.9772498680518208, 0.9331927987311419, 0.8413447460685429,
+    0.6914624612740131, 0.5, 0.3085375387259869,
+    0.15865525393145705, 0.06680720126885807, 0.02275013194817921,
+    0.006209665325776135, 0.0013498980316300946, 0.00023262907903552504,
+    3.1671241833119924e-05, 3.3976731247300603e-06, 2.866515718791939e-07,
+    1.8989562465887718e-08, 9.86587645037698e-10, 4.016000583859118e-11,
+    1.279812543885835e-12, 3.1908916729108963e-14, 6.220960574271784e-16,
+)
 
 
 def _params_phi(phi: float, E=10.0, eta=0.8, Na=3.0) -> ChannelParams:
@@ -48,9 +62,8 @@ def test_q_function_frozen_value():
 
 
 def test_q_function_against_stdlib():
-    # independent implementation route: C library erfc
-    for x in np.linspace(-8.0, 8.0, 33):
-        ref = 0.5 * math.erfc(x / math.sqrt(2.0))
+    # independent implementation route: arbitrary-precision erfc
+    for x, ref in zip(np.linspace(-8.0, 8.0, 33), Q_REFERENCE, strict=True):
         assert np.isclose(q_function(float(x)), ref, rtol=1e-12)
 
 
@@ -249,8 +262,10 @@ def test_mc_matches_quadrature(params_common):
 
 
 def test_mc_variance_shrinks_with_trials(params_common):
-    small = [fisher_symbol_mc(params_common, 0.0, 10**4, seed=s) for s in range(10)]
-    large = [fisher_symbol_mc(params_common, 0.0, 16 * 10**4, seed=100 + s) for s in range(10)]
+    # 40 replicas per side: the 2x bound then false-fails with probability
+    # P(F(39, 39) < 1/4) ~ 2e-5 (with 10 it was P(F(9, 9) < 1/4) ~ 3%)
+    small = [fisher_symbol_mc(params_common, 0.0, 10**4, seed=s) for s in range(40)]
+    large = [fisher_symbol_mc(params_common, 0.0, 16 * 10**4, seed=100 + s) for s in range(40)]
     assert np.std(small) > 2.0 * np.std(large)   # expect ~4x for 16x samples
 
 

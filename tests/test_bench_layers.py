@@ -47,6 +47,8 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert 1.0 <= ana["pareto_fisher_evals_per_call"] <= 20.0
     assert analytics._fisher is _fisher
     assert cli._write_csv is _write_csv
+    assert doc["startup"]["import_ms"] > 0
     out = capsys.readouterr().out
     assert "N=   120" in out
     assert "pareto_us_per_call" in out
+    assert "startup: import_ms" in out

@@ -397,18 +397,23 @@ def test_console_script_runs():
     assert "sweep" in proc.stdout
 
 
-def test_cli_never_imports_scipy_linalg(tmp_path):
-    # the Fisher table is built on numpy's Gauss-Legendre rule; scipy.linalg
-    # would add tens of milliseconds to the first Fisher value of a process
-    cfg = _write_doc(tmp_path, _base_doc(experiment={"n_block": 50, "trials": 1, "seed": 3}))
+def test_cli_never_imports_scipy(tmp_path):
+    # qisac runs on numpy and the standard library; scipy.special alone
+    # would add hundreds of milliseconds to every process's start-up
+    doc = _base_doc(experiment={"n_block": 50, "trials": 1, "seed": 3},
+                    sweep=[[0.2, 3.0, 50]])
+    doc["algo"]["t_max"] = 5
+    cfg = _write_doc(tmp_path, doc)
     analytics = ["--out-dir", str(tmp_path / "a"), "analytics", "--grid", "5",
                  "--pareto-points", "3"]
     run = ["--out-dir", str(tmp_path / "r"), "--threads", "1", "run", cfg]
+    sweep = ["--out-dir", str(tmp_path / "s"), "--threads", "1", "sweep", cfg]
     script = (
         "import sys\n"
         "from qisac.cli import main\n"
-        f"assert main({analytics!r}) == 0 and main({run!r}) == 0\n"
-        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        f"assert main({analytics!r}) == 0 and main({run!r}) == 0 and main({sweep!r}) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

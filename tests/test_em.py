@@ -3,11 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from qisac import ChannelParams, EmConfig, fisher_symbol, run_em, sample_block, wrap_pi
 from qisac.em import e_step, loglik, m_step_derivatives, m_step_objective, newton_update
-from qisac.physics import ObservationBlock, block_means
+from qisac.physics import ObservationBlock, block_means, expit
 
 
 def _block(x, s=None, seed=0):

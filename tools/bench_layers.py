@@ -39,6 +39,9 @@ on the same channel with N = 1000 (best of ``--repeats``):
   builds it: ``cli.cmd_analytics`` on the theta = 0 channel from entry to its
   first CSV write (which is not made), with the table of h already built.
 
+Start-up is timed as ``startup.import_ms``: ``import qisac.cli`` in a fresh
+interpreter that imports the same qisac tree, best of ``--repeats``.
+
 The result is written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
 """
 
@@ -51,13 +54,13 @@ import math
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import qisac
 from qisac import analytics, cli, controller
@@ -226,6 +229,23 @@ def measure_analytics(repeats: int, out_dir: Path, n: int = 1000) -> dict:
     return out
 
 
+_IMPORT_SCRIPT = (
+    "import time\n"
+    "t0 = time.perf_counter()\n"
+    "import qisac.cli\n"
+    "print((time.perf_counter() - t0) * 1e3)\n"
+)
+
+
+def measure_startup(repeats: int) -> dict:
+    """Best-of-``repeats`` wall time of ``import qisac.cli`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qisac.__file__).resolve().parents[1]))
+    runs = [float(subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env, check=True,
+                                 capture_output=True, text=True).stdout)
+            for _ in range(repeats)]
+    return {"import_ms": min(runs)}
+
+
 def _context() -> dict:
     cpu = platform.processor()
     try:
@@ -238,7 +258,6 @@ def _context() -> dict:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "qisac_src_sha256": _src_digest(),
     }
 
@@ -276,6 +295,8 @@ def main(argv: list[str] | None = None) -> Path:
     with tempfile.TemporaryDirectory() as tmp:
         ana = measure_analytics(args.repeats, Path(tmp))
     print("analytics: " + "  ".join(f"{k} {v:9.1f}" for k, v in ana.items() if k != "n"))
+    startup = measure_startup(args.repeats)
+    print(f"startup: import_ms {startup['import_ms']:9.1f}")
 
     doc = {
         "tag": args.tag,
@@ -285,6 +306,7 @@ def main(argv: list[str] | None = None) -> Path:
         "context": _context(),
         "results": results,
         "analytics": ana,
+        "startup": startup,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / f"BENCH_layers_{args.tag}.json"
