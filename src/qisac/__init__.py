@@ -25,13 +25,8 @@ from .analytics import (
     q_function,
 )
 from .controller import AlgoConfig, RunTrace, run_qisac, select_target, update_psi, wrap_pi
-from .em import EmConfig, EmResult, e_step, m_step_objective, newton_update, run_em
-from .errors import (
-    ConfigError,
-    InfeasibleError,
-    QisacError,
-    QuadratureError,
-)
+from .em import EmConfig, EmResult, e_step, m_step, m_step_objective, run_em
+from .errors import ConfigError, InfeasibleError, QisacError
 from .montecarlo import (
     ExperimentSpec,
     TradeoffCurve,
@@ -65,7 +60,6 @@ __all__ = [
     "ObservationBlock",
     "ParetoPoint",
     "QisacError",
-    "QuadratureError",
     "RunTrace",
     "TradeoffCurve",
     "ber_theory",
@@ -78,8 +72,8 @@ __all__ = [
     "fisher_high_snr",
     "fisher_symbol",
     "fisher_symbol_mc",
+    "m_step",
     "m_step_objective",
-    "newton_update",
     "optimal_angles",
     "pareto_known_theta",
     "q_function",

@@ -16,8 +16,10 @@ with ``phi = theta - psi``.  This module provides:
   single lobe N(mu, sigma^2).  With z = (x - mu)/sigma and r =
   A*|cos(phi)|/sigma it factors as F = (A^2 sin^2(phi) / sigma^2) * h(r),
   h(r) = E_z[((r + z)*tanh(r*(r + z)) - r)^2], one channel-independent h
-  (~2r^2 near 0, -> 1 as the lobes separate), tabulated once per process
-  from a fixed Gauss-Legendre rule in z, so each Fisher value costs O(1);
+  (~2r^2 near 0, -> 1 as the lobes separate).  h ships as constants, a
+  Chebyshev table sampled from a fixed Gauss-Legendre rule in z and certified
+  by tests/test_analytics.py::test_shipped_table_of_h_is_certified, so each
+  Fisher value costs O(1) and nothing is built at run time;
 * the separated-lobe closed form (A^2/sigma^2) * sin^2(phi), which bounds
   the mixture Fisher information at every offset and is its high-SNR limit
   only where the lobes separate, A*|cos(phi)|/sigma >> 1 (at phi = pi/2
@@ -37,9 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import InfeasibleError, QuadratureError
+from .errors import InfeasibleError
 from .physics import (
     ChannelParams,
     block_mean_derivs,
@@ -68,11 +69,47 @@ _PANEL_ORDER = 32
 _MIN_PANELS = 6
 _TAIL_SIGMAS = 12.0  # truncation at |z| = 12: tail mass < 1e-32
 
-# Table of h (see _h_table); beyond _R_EDGE, h = 1 (1 - h(8) < 1e-15).
-_CHEB_DEGREE = 80
+# The table of h: Chebyshev coefficients, highest degree first, of
+# q(r) = h(r) * (1 + r^2) / r^2 on [0, _R_EDGE], interpolated at the 81
+# Chebyshev points of the first kind; h(r) there is _fisher_quad on _H_NODES
+# nodes for the channel A = sqrt(1 + r^2), sigma^2 = 1 at offset atan2(1, r)
+# (mean r, mean derivative -1).  _H_RTOL is its certified relative error:
+# each sample against half the nodes, the interpolant against quadrature at
+# the midpoints and against h = 1 at the edge.  The table is made and
+# certified by tests/test_analytics.py::test_shipped_table_of_h_is_certified.
+# Beyond _R_EDGE, h = 1 (1 - h(8) < 1e-15).
 _R_EDGE = 9.0
-_BUILD_NODES = 4096
-_TABLE_RTOL = 1e-12
+_H_NODES = 4096
+_H_RTOL = 2.2663972886729178e-13
+_H_COEF = (
+    -1.2247270714256227e-13, 2.4122863930559214e-13, -3.703950641649627e-13,
+    4.920858141523463e-13, -5.973209466394263e-13, 6.492788171770765e-13,
+    -6.095184792162703e-13, 3.832783426774948e-13, 1.3677028252217868e-13,
+    -1.0970916839976808e-12, 2.678642527765092e-12, -5.0922332925384224e-12,
+    8.539188667847354e-12, -1.3166394780110839e-11, 1.898580583776667e-11,
+    -2.569550569299319e-11, 3.252139922957448e-11, -3.790469432158763e-11,
+    3.914952735475454e-11, -3.200066091850256e-11, 1.0181883720155483e-11,
+    3.494973706038099e-11, -1.145251711110068e-10, 2.417163643797801e-10,
+    -4.3032457429198616e-10, 6.917766096398213e-10, -1.0297114485234187e-09,
+    1.4311593727772495e-09, -1.8533045198088835e-09, 2.2048345480799384e-09,
+    -2.3215955513843196e-09, 1.937375743711697e-09, -6.531402570498829e-10,
+    -2.08808530263393e-09, 7.007375657894222e-09, -1.4955057776176744e-08,
+    2.6801136104157395e-08, -4.320310812044623e-08, 6.41882520568159e-08,
+    -8.847533140246879e-08, 1.124586831863983e-07, -1.2879836600561696e-07,
+    1.246226518073276e-07, -7.94817246584666e-08, -3.6568120310220006e-08,
+    2.639776840146751e-07, -6.524516740810963e-07, 1.2552441538676644e-06,
+    -2.115781005855987e-06, 3.2422495529017104e-06, -4.564854681561904e-06,
+    5.870298855415967e-06, -6.709729068913228e-06, 6.281502025394695e-06,
+    -3.301099949916359e-06, -4.108707641420598e-06, 1.843830243954525e-05,
+    -4.259799231884082e-05, 7.932033187288131e-05, -0.00012991439672304462,
+    0.00019210224765028194, -0.0002565909143502539, 0.0003017500180915427,
+    -0.0002854879142240746, 0.00013468580031828143, 0.000261616190846427,
+    -0.0010377282093144671, 0.0022902518659414133, -0.003964284234447523,
+    0.005744857364826388, -0.007086417907381994, 0.007479054637636163,
+    -0.006775186814892313, 0.004953473719864561, -0.0005353948920296558,
+    -0.012334070003258531, 0.04617646704779298, -0.11776370200065539,
+    0.23668241079297583, -0.38375650504289804, 1.2420037287214742,
+)
 
 
 @dataclass(frozen=True)
@@ -83,9 +120,10 @@ class FisherReport:
         per_symbol: Fisher information per homodyne outcome (radians^-2).
         block: N * per_symbol for the block length ``n``.
         n: block length used for ``block``.
-        quad_nodes: node count of the quadrature rule the table was built on.
-        quad_error_est: per_symbol times the relative error certified when
-            the table was built (quadrature doubling and interpolation).
+        quad_nodes: node count of the quadrature rule the shipped table of
+            h was sampled on; a constant, 4096.
+        quad_error_est: per_symbol times the table's certified relative
+            error, 2.27e-13 (quadrature doubling and interpolation).
     """
 
     per_symbol: float
@@ -138,8 +176,11 @@ def _normal_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     Order-32 panels, ``nodes // 32`` of them but never fewer than six (so no
     panel is wider than 4 standard deviations); the normal density is folded
-    into the weights.  Built on first use and cached read-only.
+    into the weights.  Built on first use and cached read-only.  Only the
+    reference quadrature uses it, so ``numpy.polynomial`` is imported here.
     """
+    from numpy.polynomial.legendre import leggauss
+
     panels = max(_MIN_PANELS, nodes // _PANEL_ORDER)
     xg, wg = leggauss(_PANEL_ORDER)
     half = _TAIL_SIGMAS / panels
@@ -171,54 +212,11 @@ def _fisher_quad(a: float, sigma2: float, phi: float, nodes: int) -> tuple[float
     return float(w @ score**2), len(z)
 
 
-@lru_cache(maxsize=1)
-def _h_table() -> tuple[tuple[float, ...], int, float]:
-    """Chebyshev table of q(r) = h(r) * (1 + r^2) / r^2 on [0, _R_EDGE], built once.
-
-    Returns (coefficients c_deg..c_0, build node count, certified relative
-    error).  h(r) is the quadrature Fisher information of the channel
-    A = sqrt(1 + r^2), sigma^2 = 1 at offset atan2(1, r) (mean r, mean
-    derivative -1), sampled one quadrature at a time at the Chebyshev points
-    of the first kind.  Certified: each sample against half the nodes, the
-    interpolant against quadrature at the midpoints between samples and
-    against h = 1 at the edge.
-
-    Raises:
-        QuadratureError: the certified error exceeds _TABLE_RTOL.
-    """
-    def q_quad(r: float, nodes: int) -> tuple[float, int]:
-        h, used = _fisher_quad(math.hypot(1.0, r), 1.0, math.atan2(1.0, r), nodes)
-        return h * (1.0 + r * r) / (r * r), used
-
-    n = _CHEB_DEGREE + 1
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    r_nodes = 0.5 * _R_EDGE * (1.0 + np.cos(theta))
-    q_vals, errs = [], []
-    for r in r_nodes.tolist():
-        coarse, _ = q_quad(r, _BUILD_NODES // 2)
-        fine, used = q_quad(r, _BUILD_NODES)
-        q_vals.append(fine)
-        errs.append(abs(fine - coarse) / fine)
-    coef = 2.0 / n * np.cos(np.outer(np.arange(n), theta)) @ q_vals
-    coef[0] /= 2.0
-    coef = tuple(coef[::-1].tolist())
-    checks = [(r, q_quad(r, _BUILD_NODES)[0])
-              for r in (0.5 * (r_nodes[1:] + r_nodes[:-1])).tolist()]
-    checks.append((_R_EDGE, 1.0 + _R_EDGE**-2))
-    errs += [abs(_q_interp(coef, r) - ref) / ref for r, ref in checks]
-    worst = float(np.max(errs))
-    if not worst <= _TABLE_RTOL:
-        raise QuadratureError(
-            f"Fisher table of h certified only to {worst:.3e} relative at {used} nodes"
-        )
-    return coef, used, worst
-
-
-def _q_interp(coef: tuple[float, ...], r: float) -> float:
-    """Clenshaw sum of the Chebyshev series ``coef`` (highest first) at r in [0, _R_EDGE]."""
+def _q_interp(r: float) -> float:
+    """Clenshaw sum of the table of h, q(r) = h(r) * (1 + r^2) / r^2, at r in [0, _R_EDGE]."""
     x2 = 4.0 * r / _R_EDGE - 2.0
     b1 = b2 = 0.0
-    for c in coef:
+    for c in _H_COEF:
         b1, b2 = c + x2 * b1 - b2, b1
     return b1 - 0.5 * x2 * b2
 
@@ -231,26 +229,21 @@ def _fisher(a: float, sigma2: float, phi: float) -> float:
     r2 = c * c / sigma2
     if r2 >= _R_EDGE * _R_EDGE:
         return ceiling
-    return ceiling * r2 / (1.0 + r2) * _q_interp(_h_table()[0], math.sqrt(r2))
+    return ceiling * r2 / (1.0 + r2) * _q_interp(math.sqrt(r2))
 
 
 def fisher_symbol(params: ChannelParams, psi: float, n: int = 1) -> FisherReport:
     """Per-symbol Fisher information of theta at LO phase ``psi``.
 
     Evaluates the closed product F = (A^2 sin^2(phi) / sigma^2) * h(r),
-    r = A*|cos(phi)|/sigma, on the process-wide table of h (see
-    :func:`_h_table`); O(1) per call.  F is exactly 0 at phi = 0.
-
-    Raises:
-        QuadratureError: the table failed its certification when it was
-            built, on the first Fisher evaluation of the process.
+    r = A*|cos(phi)|/sigma, on the shipped table of h (``_H_COEF``); O(1)
+    per call.  F is exactly 0 at phi = 0.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    _, nodes, rel_err = _h_table()
     f = _fisher(params.amplitude(), params.noise_var(), params.theta - psi)
     return FisherReport(
-        per_symbol=f, block=n * f, n=n, quad_nodes=nodes, quad_error_est=f * rel_err
+        per_symbol=f, block=n * f, n=n, quad_nodes=_H_NODES, quad_error_est=f * _H_RTOL
     )
 
 

@@ -407,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None,
                     help="master seed override (beats config and QISAC_SEED)")
     ap.add_argument("--out-dir", default=".", help="directory for output files")
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                    help="worker threads for independent trials")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker threads for independent trials (default 1: the "
+                         "thread pool is slower than serial on small blocks)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analytics", help="closed-form tables on a phase-offset grid")

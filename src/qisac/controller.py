@@ -36,7 +36,6 @@ import numpy as np
 
 from .analytics import ber_theory, fc_max, fisher_symbol, optimal_angles
 from .em import EmConfig, loglik, run_em
-from .errors import QuadratureError
 from .physics import ChannelParams, ObservationBlock, canonical_phase
 
 __all__ = [
@@ -96,7 +95,9 @@ class RunTrace:
     ``ber_emp`` is label-ambiguity-resolved; ``flipped`` records whether the
     resolution inverted the decisions.  ``fc_max`` and ``gamma_min`` are the
     resolved run-level constants.  Terminal state: (theta_final, psi_final,
-    s_hat_final).
+    s_hat_final).  ``quad_failures`` is always empty: the Fisher information
+    is read from a shipped, certified table and has no failure path (the
+    field stays while perfbench/tracer.py reads it).
     """
 
     theta_hat: np.ndarray
@@ -202,8 +203,7 @@ def run_qisac(
     to keep the estimate or adopt its reflection.  After each iteration the
     current block replaces the anchor when its LO phase is farther from the
     next one, |sin 2(psi_block - psi_next)| larger than the anchor's.
-    Per-iteration quadrature failures are recorded (the constraint is
-    treated as infeasible for that iteration) rather than aborting the run;
+    The Fisher information comes from a shipped table and cannot fail;
     EM failures propagate.
     """
     from .montecarlo import score_ber  # deferred: montecarlo uses this module
@@ -214,7 +214,6 @@ def run_qisac(
     em_cfg = config.em
 
     theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l = [], [], [], [], [], [], []
-    quad_failures: list[int] = []
     fcm = None
     gamma = None
     theta_hat = None
@@ -239,16 +238,9 @@ def run_qisac(
         s_hat = res.s_hat
         em_cfg = replace(em_cfg, init_theta=theta_hat)
 
-        try:
-            fc = fisher_symbol(
-                replace(params, theta=theta_hat), psi, n=block.n
-            ).block
-        except QuadratureError:
-            quad_failures.append(t)
-            fc = float("nan")
-
+        fc = fisher_symbol(replace(params, theta=theta_hat), psi, n=block.n).block
         ber_emp, flipped = score_ber(s_hat, block.s_true)
-        kind, psi_tar = select_target(fc if np.isfinite(fc) else -1.0, gamma, theta_hat)
+        kind, psi_tar = select_target(fc, gamma, theta_hat)
 
         theta_l.append(theta_hat)
         psi_l.append(psi)
@@ -282,5 +274,4 @@ def run_qisac(
         theta_final=float(theta_hat if theta_hat is not None else 0.0),
         psi_final=psi,
         s_hat_final=s_hat,
-        quad_failures=quad_failures,
     )

@@ -24,8 +24,10 @@ the current iterate.  :func:`run_em` makes one O(N) pass per EM iteration
 to form S and takes the M-step in O(1); the observed-data log-likelihood is
 one pass in log-cosh form, evaluated at the iterates only when a caller
 reads ``loglik_trace``.
-:func:`e_step`, :func:`m_step_objective` and :func:`m_step_derivatives` keep
-the per-component form as the reference the reduced form is tested against.
+:func:`m_step` takes the same closed-form step from a given set of
+responsibilities.  :func:`e_step`, :func:`m_step_objective` and
+:func:`m_step_derivatives` keep the per-component form as the reference the
+reduced form is tested against.
 
 EM runs from one start.  With v = |cos(theta - psi)| the statistic is
 S(v) = sum |x| * tanh(A*v*|x|/sigma^2), which is increasing and concave in
@@ -59,7 +61,7 @@ __all__ = [
     "loglik",
     "m_step_objective",
     "m_step_derivatives",
-    "newton_update",
+    "m_step",
     "run_em",
 ]
 
@@ -235,7 +237,7 @@ def _m_step(s: float, w: float, a: float, psi: float, theta_t: float) -> float:
     return psi + math.copysign(math.acos(u), math.sin(theta_t - psi))
 
 
-def newton_update(
+def m_step(
     block: ObservationBlock,
     params: ChannelParams,
     psi: float,

@@ -10,7 +10,6 @@ import qisac.analytics as analytics
 from qisac import (
     ChannelParams,
     InfeasibleError,
-    QuadratureError,
     ber_theory,
     fc_max,
     fisher_argmax,
@@ -227,21 +226,50 @@ def test_fisher_rises_to_its_peak_at_every_snr():
         assert np.all(np.diff(vals) >= -1e-13 * f_peak), rho
 
 
-def test_fisher_quadrature_failure_signalled(monkeypatch):
-    # Make the table's build quadrature depend on its node budget, so the
-    # 2048- and 4096-node samples never agree.
-    def unstable(a, sigma2, phi, nodes):
-        return 1.0 + 1e-3 * math.sin(nodes), nodes
+# Relative bound the shipped table of h is certified to.
+_TABLE_RTOL = 1e-12
 
-    analytics._h_table.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(analytics, "_fisher_quad", unstable)
-            with pytest.raises(QuadratureError):
-                fisher_symbol(_params_phi(0.5), 0.0)
-    finally:
-        analytics._h_table.cache_clear()
-    assert fisher_symbol(_params_phi(0.5), 0.0).per_symbol > 0.0
+
+def _q_quad(r: float, nodes: int) -> float:
+    """q(r) = h(r) * (1 + r^2) / r^2 by quadrature, on the channel the table is defined on."""
+    h, _ = analytics._fisher_quad(math.hypot(1.0, r), 1.0, math.atan2(1.0, r), nodes)
+    return h * (1.0 + r * r) / (r * r)
+
+
+def test_shipped_table_of_h_is_certified():
+    # The one place the table of h is made: rebuild it from the reference
+    # quadrature at the Chebyshev points of the first kind and certify the
+    # shipped literals, each check at _TABLE_RTOL relative.  To remake the
+    # table, print repr() of ``rebuilt`` (highest degree first) and ``worst``.
+    coef = analytics._H_COEF
+    nodes, edge = analytics._H_NODES, analytics._R_EDGE
+    n = len(coef)
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    r_nodes = 0.5 * edge * (1.0 + np.cos(theta))
+    fine = np.array([_q_quad(r, nodes) for r in r_nodes.tolist()])
+    coarse = np.array([_q_quad(r, nodes // 2) for r in r_nodes.tolist()])
+    rebuilt = 2.0 / n * np.cos(np.outer(np.arange(n), theta)) @ fine
+    rebuilt[0] /= 2.0
+    rebuilt = rebuilt[::-1]
+
+    def rel(got, ref):
+        return np.abs(np.asarray(got) - ref) / np.abs(ref)
+
+    mids = (0.5 * (r_nodes[1:] + r_nodes[:-1])).tolist()
+    doubling = rel(coarse, fine)
+    at_nodes = rel([analytics._q_interp(r) for r in r_nodes.tolist()], fine)
+    at_mids = rel([analytics._q_interp(r) for r in mids], [_q_quad(r, nodes) for r in mids])
+    at_edge = rel(analytics._q_interp(edge), 1.0 + edge**-2)   # h(edge) = 1
+    for name, err in [("2048 vs 4096 nodes", doubling), ("nodes", at_nodes),
+                      ("midpoints", at_mids), ("edge", at_edge)]:
+        assert np.max(err) <= _TABLE_RTOL, (name, float(np.max(err)))
+    # the certificate FisherReport.quad_error_est reports holds, up to rounding
+    worst = max(float(np.max(e)) for e in (doubling, at_nodes, at_mids, at_edge))
+    assert analytics._H_RTOL <= _TABLE_RTOL
+    assert worst <= 1.01 * analytics._H_RTOL, worst
+    # and the literals are the table this build makes; rounding in the
+    # build moves a coefficient by ~2e-16, the smallest one is 1.2e-13
+    assert np.max(np.abs(rebuilt - coef)) <= 1e-14, np.max(np.abs(rebuilt - coef))
 
 
 def test_fisher_rejects_bad_block_length(params_common):

@@ -399,7 +399,9 @@ def test_console_script_runs():
 
 def test_cli_never_imports_scipy(tmp_path):
     # qisac runs on numpy and the standard library; scipy.special alone
-    # would add hundreds of milliseconds to every process's start-up
+    # would add hundreds of milliseconds to every process's start-up.  The
+    # table of h ships as constants, so no command reaches the reference
+    # quadrature (made to raise here) or loads numpy.polynomial for its rule
     doc = _base_doc(experiment={"n_block": 50, "trials": 1, "seed": 3},
                     sweep=[[0.2, 3.0, 50]])
     doc["algo"]["t_max"] = 5
@@ -410,13 +412,24 @@ def test_cli_never_imports_scipy(tmp_path):
     sweep = ["--out-dir", str(tmp_path / "s"), "--threads", "1", "sweep", cfg]
     script = (
         "import sys\n"
+        "import qisac.analytics\n"
         "from qisac.cli import main\n"
+        "def quad(*args):\n"
+        "    raise RuntimeError('the reference quadrature ran')\n"
+        "qisac.analytics._fisher_quad = quad\n"
         f"assert main({analytics!r}) == 0 and main({run!r}) == 0 and main({sweep!r}) == 0\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+        "loaded = [m for m in sys.modules if m.startswith('numpy.polynomial')]\n"
         "assert not loaded, loaded\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_threads_default_to_serial():
+    # the thread pool is slower than serial on the shipped configs
+    assert cli.build_parser().parse_args(["run", "c.json"]).threads == 1
 
 
 def test_float_formatting_roundtrip():

@@ -9,7 +9,6 @@ from qisac import (
     AlgoConfig,
     ChannelParams,
     EmConfig,
-    QuadratureError,
     ber_theory,
     fc_max,
     run_qisac,
@@ -218,24 +217,6 @@ def test_run_qisac_block_refresh_flag(params_common):
     cfg = replace(cfg, block_refresh=True)
     run_qisac(src, params_common, cfg)
     assert calls == [0, 1, 2, 3, 4, 5]
-
-
-def test_run_qisac_records_quadrature_failures(params_common, monkeypatch):
-    real = controller.fisher_symbol
-    state = {"t": -1}
-
-    def flaky(params, psi, n=1):
-        state["t"] += 1
-        if state["t"] == 2:
-            raise QuadratureError("no convergence")
-        return real(params, psi, n=n)
-
-    monkeypatch.setattr(controller, "fisher_symbol", flaky)
-    cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=5, psi0=0.4)
-    trace = run_qisac(_source(params_common), params_common, cfg)
-    assert trace.quad_failures == [2]
-    assert math.isnan(trace.fc[2])
-    assert len(trace) == 5
 
 
 def test_run_qisac_flip_indicator_consistency(params_common):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qisac import ChannelParams, EmConfig, fisher_symbol, run_em, sample_block, wrap_pi
-from qisac.em import e_step, loglik, m_step_derivatives, m_step_objective, newton_update
+from qisac.em import e_step, loglik, m_step_derivatives, m_step, m_step_objective
 from qisac.physics import ObservationBlock, block_means, expit
 
 
@@ -133,7 +133,7 @@ def test_newton_update_decreases_objective():
     rng = np.random.default_rng(13)
     for _ in range(5):
         params, psi, block, theta, gamma = _random_case(rng)
-        theta_new = newton_update(block, params, psi, theta, gamma)
+        theta_new = m_step(block, params, psi, theta, gamma)
         j0 = m_step_objective(block, params, psi, theta, gamma)
         j1 = m_step_objective(block, params, psi, theta_new, gamma)
         assert j1 <= j0 + 1e-9
@@ -149,7 +149,7 @@ def test_newton_update_matches_closed_form_minimizer():
         params, psi, block, theta, gamma = _random_case(rng)
         s = float((gamma[:, 0] - gamma[:, 1]) @ block.x)
         u_star = np.clip(s / (block.n * params.amplitude()), -1.0, 1.0)
-        got = newton_update(block, params, psi, theta, gamma)
+        got = m_step(block, params, psi, theta, gamma)
         expected = psi + np.sign(np.sin(got - psi)) * np.arccos(u_star)
         assert abs((got - expected + np.pi) % (2 * np.pi) - np.pi) < 1e-8
         if abs(np.sin(got - psi)) > 1e-6:

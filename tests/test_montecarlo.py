@@ -11,7 +11,6 @@ from qisac import (
     ExperimentSpec,
     InfeasibleError,
     QisacError,
-    QuadratureError,
     ber_theory,
     run_convergence_experiment,
     run_tradeoff_sweep,
@@ -159,7 +158,7 @@ def test_convergence_collects_partial_failures(params_common, monkeypatch):
 
     def flaky(spec, index):
         if index == 1:
-            raise QuadratureError("nodes exhausted")
+            raise QisacError("forced")
         return real(spec, index)
 
     monkeypatch.setattr(mc, "_single_trial", flaky)
@@ -168,7 +167,7 @@ def test_convergence_collects_partial_failures(params_common, monkeypatch):
     assert len(res.traces) == 2
     assert len(res.failures) == 1
     assert res.failures[0][0] == 1
-    assert "QuadratureError" in res.failures[0][1]
+    assert "QisacError" in res.failures[0][1]
 
 
 def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, caplog):
@@ -178,7 +177,7 @@ def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, 
 
     def flaky(spec, index):
         if index == 1:
-            raise QuadratureError("forced")
+            raise QisacError("forced")
         return real(spec, index)
 
     monkeypatch.setattr(mc, "_single_trial", flaky)
@@ -186,12 +185,12 @@ def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, 
     with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
         run_convergence_experiment(spec)
     msgs = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
-    assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: QuadratureError: forced"]
+    assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: QisacError: forced"]
 
 
 def test_convergence_all_failed_raises(params_common, monkeypatch):
     def broken(spec, index):
-        raise QuadratureError("nodes exhausted")
+        raise QisacError("forced")
 
     monkeypatch.setattr(mc, "_single_trial", broken)
     spec = _spec(params_common, trials=2, t_max=5)

@@ -24,20 +24,27 @@ N runs ``--repeats`` times and the run with the smallest total is reported,
 so the layer figures of one N always add up to its total.
 
 The analytics path, which ``qisac analytics`` runs once per channel, is timed
-on the same channel with N = 1000 (best of ``--repeats``):
+on the same channel with N = 1000.  A single cold call lasts microseconds to
+milliseconds and its timing varies from shot to shot, so each cold figure is
+the median of ``COLD_REPS`` repetitions (``cold_reps`` in the output), each
+from the same cleared state:
 
-- ``first_fisher_us``      the first ``fisher_symbol`` after every cache of
-  ``qisac.analytics`` is cleared (what the first Fisher value of a process
-  builds, imports excluded),
+- ``first_fisher_us``      ``fisher_symbol`` after every cache of
+  ``qisac.analytics`` is cleared, imports excluded: one O(1) evaluation on
+  the shipped table of h (a tree that builds the table at run time pays the
+  build here),
 - ``fc_max_cold_us``       ``fc_max`` with the per-channel caches cleared,
 - ``fisher_argmax_cold_us`` the same for ``fisher_argmax``,
-- ``pareto_us_per_call``   ``pareto_known_theta`` over the 21 points of the
-  frontier that ``qisac analytics`` writes, per call,
-- ``pareto_fisher_evals_per_call`` the Fisher evaluations (``_fisher``) those
-  21 calls make, per call, with the channel's peak search already cached,
 - ``grid_us``              the 181-point offset grid as ``qisac analytics``
   builds it: ``cli.cmd_analytics`` on the theta = 0 channel from entry to its
-  first CSV write (which is not made), with the table of h already built.
+  first CSV write (which is not made).
+
+Two per-call figures complete it:
+
+- ``pareto_us_per_call``   ``pareto_known_theta`` over the 21 points of the
+  frontier that ``qisac analytics`` writes, per call (best of ``--repeats``),
+- ``pareto_fisher_evals_per_call`` the Fisher evaluations (``_fisher``) those
+  21 calls make, per call, with the channel's peak search already cached.
 
 Start-up is timed as ``startup.import_ms``: ``import qisac.cli`` in a fresh
 interpreter that imports the same qisac tree, best of ``--repeats``.
@@ -54,6 +61,7 @@ import math
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -74,6 +82,7 @@ PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
 # times both sides of a change that adds or removes one
 CHANNEL_CACHES = ("_fisher_peak", "_fisher_monotone_on_rise")
 PARETO_POINTS = 21
+COLD_REPS = 101    # repetitions behind each cold analytics median
 
 
 def _minflt() -> int:
@@ -198,7 +207,7 @@ def _grid_us(out_dir: Path) -> float:
 
 
 def measure_analytics(repeats: int, out_dir: Path, n: int = 1000) -> dict:
-    """Best-of-``repeats`` cold and per-call costs of the analytics path."""
+    """Median cold costs (``COLD_REPS`` each) and best-of-``repeats`` per-call costs."""
     every_cache = [name for name, f in vars(analytics).items() if hasattr(f, "cache_clear")]
     gammas = [k / (PARETO_POINTS - 1) * analytics.fc_max(PARAMS, n)
               for k in range(PARETO_POINTS)]
@@ -216,15 +225,18 @@ def measure_analytics(repeats: int, out_dir: Path, n: int = 1000) -> dict:
         t = _timed_us(lambda: [analytics.pareto_known_theta(PARAMS, n, g) for g in gammas])
         return t / PARETO_POINTS
 
-    runs = {
-        "first_fisher_us": first_fisher,
-        "fc_max_cold_us": lambda: cold(lambda: analytics.fc_max(PARAMS, n)),
-        "fisher_argmax_cold_us": lambda: cold(lambda: analytics.fisher_argmax(PARAMS)),
-        "pareto_us_per_call": pareto,
-        "grid_us": lambda: _grid_us(out_dir),
+    def median(run):
+        return statistics.median(run() for _ in range(COLD_REPS))
+
+    out = {
+        "first_fisher_us": median(first_fisher),
+        "fc_max_cold_us": median(lambda: cold(lambda: analytics.fc_max(PARAMS, n))),
+        "fisher_argmax_cold_us": median(lambda: cold(lambda: analytics.fisher_argmax(PARAMS))),
+        "pareto_us_per_call": min(pareto() for _ in range(repeats)),
+        "grid_us": median(lambda: _grid_us(out_dir)),
     }
-    out = {key: min(run() for _ in range(repeats)) for key, run in runs.items()}
     out["pareto_fisher_evals_per_call"] = _pareto_fisher_evals(gammas, n)
+    out["cold_reps"] = COLD_REPS
     out["n"] = n
     return out
 
