@@ -46,6 +46,7 @@ from .physics import (
     block_mean_derivs,
     block_means,
     canonical_phase,
+    dot,
     expit,
     sample_block,
 )
@@ -209,7 +210,7 @@ def _fisher_quad(a: float, sigma2: float, phi: float, nodes: int) -> tuple[float
     sigma = math.sqrt(sigma2)
     mu = a * math.cos(phi)
     score = _mixture_score(mu + sigma * z, mu, -a * math.sin(phi), sigma2)
-    return float(w @ score**2), len(z)
+    return float(dot(w, np.square(score, out=score))), len(z)
 
 
 def _q_interp(r: float) -> float:
@@ -345,11 +346,21 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
     on a bracket [lo, hi] with the invariant: lo is infeasible, hi is
     feasible under the test N*F(phi) >= gamma_min, and the loop ends when
     no double lies strictly between them; hi is returned.  The values of g
-    only choose the next point.  A secant point that is not strictly inside
-    the bracket, or a bracket that has not halved over three steps, gives
-    way to bisection, in the exponent (sqrt(lo*hi)) while hi > 4*lo > 0, so
-    even a tiny gamma_min, whose offset lies hundreds of binary orders
-    below argmax F, costs tens of evaluations.
+    only choose the next point.  Two degenerate brackets get their own step:
+
+    * g(hi) == 0 exactly (gamma_min = fc_max, where hi = argmax F is itself
+      a root and every secant point equals hi): the next point bisects the
+      exponent of the distance below h0, the hi at which g first read 0;
+    * a secant point that is not strictly inside the bracket, or a bracket
+      that has not halved over three steps, gives way to a fallback: a jump
+      below hi by the geometric mean of its creep and the bracket when only
+      hi moved over those steps (a root near the flat top of F); else
+      bisection in the exponent (sqrt(lo*hi)) while hi > 4*lo, where lo = 0
+      counts as half the bound sqrt(gamma_min*sigma^2/(N*A^2)) that
+      F <= (A^2/sigma^2)*phi^2 puts under the root; else plain bisection.
+
+    Even a subnormal gamma_min, whose offset lies hundreds of binary orders
+    below argmax F, or gamma_min = fc_max then cost tens of evaluations.
 
     Raises:
         ValueError: gamma_min is negative or NaN.
@@ -371,18 +382,35 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
     # g(argmax F) = fc_max - gamma_min >= 0
     lo, hi = 0.0, (phi_peak if gamma_min > 0.0 else 0.0)
     g_lo, g_hi = -gamma_min, fcm - gamma_min
+    floor = 0.5 * math.sqrt(gamma_min) * math.sqrt(sigma2 / n) / a
     moved = 0                       # +1 / -1: the last step moved hi / lo
-    widths = [math.inf] * 3         # bracket width before each of the last three steps
+    past = [(-math.inf, math.inf)] * 3  # the bracket before each of the last three steps
+    h0 = hi
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not (lo < x < hi and hi - lo <= 0.5 * widths[0]):
-            x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo > 0.0 else mid
-        widths = widths[1:] + [hi - lo]
+        lo3, hi3 = past[0]
+        if g_hi == 0.0:
+            x = h0 - math.sqrt(max(h0 - hi, math.ulp(h0))) * math.sqrt(h0 - lo)
+            inside = lo < x < hi
+        else:
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            inside = lo < x < hi and hi - lo <= 0.5 * (hi3 - lo3)
+        if not inside:
+            creep = (hi3 - lo3) - (hi - lo)
+            base = lo if lo > 0.0 else floor
+            if lo3 == lo and creep < 0.25 * (hi - lo):
+                x = hi - math.sqrt(creep) * math.sqrt(hi - lo)
+            elif hi > 4.0 * base:
+                x = math.sqrt(base) * math.sqrt(hi)
+            if not lo < x < hi:
+                x = mid
+        past = past[1:] + [(lo, hi)]
         nf = n * _fisher(a, sigma2, x)
         if nf >= gamma_min:
             if moved == 1:
                 g_lo *= 0.5
+            if g_hi != 0.0:
+                h0 = x
             hi, g_hi, moved = x, nf - gamma_min, 1
         else:
             if moved == -1:

@@ -52,6 +52,7 @@ from .em import EmConfig
 from .errors import ConfigError, QisacError
 from .montecarlo import (
     ExperimentSpec,
+    median,
     run_convergence_experiment,
     run_tradeoff_sweep,
     steady_mean,
@@ -331,10 +332,13 @@ def cmd_run(args) -> int:
                 float(tr.ber_emp[t]),
                 float(tr.ber_theory[t]),
                 tr.target[t],
+                float(tr.reflect_margin[t]),
+                int(tr.reflection_adopted[t]),
             ))
     _write_csv(out / "run_trace.csv",
                ["iter", "trial", "theta_hat_deg", "psi_deg", "fc", "fc_max",
-                "ber_emp", "ber_theory", "target"], rows)
+                "ber_emp", "ber_theory", "target", "reflect_margin",
+                "reflection_adopted"], rows)
 
     psis = [steady_psi(tr) for tr in result.traces]
     th_err = [steady_mean(np.degrees(np.abs(
@@ -353,14 +357,16 @@ def cmd_run(args) -> int:
         "fc_max": result.traces[0].fc_max,
         "gamma_min": gamma,
         "steady": {
-            "psi_deg_median": float(np.median([math.degrees(p) for p in psis])),
+            "psi_deg_median": float(median([math.degrees(p) for p in psis])),
             "psi_deg_per_trial": [math.degrees(p) for p in psis],
-            "theta_err_deg_median": float(np.median(th_err)),
-            "fc_median": float(np.median(fcs)),
-            "fc_over_gamma_median": float(np.median(fcs) / gamma) if gamma > 0 else None,
+            "theta_err_deg_median": float(median(th_err)),
+            "fc_median": float(median(fcs)),
+            "fc_over_gamma_median": float(median(fcs) / gamma) if gamma > 0 else None,
             "ber_emp_mean": float(np.mean(bers)),
         },
         "iterations_per_trial": [len(tr) for tr in result.traces],
+        "reflection_flips_per_trial": [int(tr.reflection_adopted.sum())
+                                       for tr in result.traces],
     }
     _write_json(out / "run_summary.json", summary)
     print(f"run complete: {len(result.traces)}/{spec.trials} trials ok, "

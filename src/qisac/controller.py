@@ -20,10 +20,13 @@ One block measured at a single LO phase determines the channel phase only
 up to reflection about that LO phase (the outcome law is even in the
 offset).  The loop therefore holds one earlier block, the anchor, scores
 each new estimate and its reflection against it, and adopts the reflection
-when the anchor decisively favors it.  The current block takes over as the
-anchor whenever its LO phase lies farther, in the |sin 2*delta| sense, from
-the LO phase of the next block.  This keeps the loop tracking the physical
-phase instead of its moving mirror image, also while the LO barely moves.
+when the anchor decisively favors it.  The anchor is held as |x| and its
+sum, computed once when a block takes over, which is all the score
+(:func:`qisac.em.reflection_margin`) reads.  The current block takes over as
+the anchor whenever its LO phase lies farther, in the |sin 2*delta| sense,
+from the LO phase of the next block.  This keeps the loop tracking the
+physical phase instead of its moving mirror image, also while the LO barely
+moves.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .analytics import ber_theory, fc_max, fisher_symbol, optimal_angles
-from .em import EmConfig, loglik, run_em
+from .em import EmConfig, reflection_margin, run_em
 from .physics import ChannelParams, ObservationBlock, canonical_phase
 
 __all__ = [
@@ -93,11 +96,17 @@ class RunTrace:
 
     Arrays are aligned by outer iteration.  ``target`` holds "com"/"sen".
     ``ber_emp`` is label-ambiguity-resolved; ``flipped`` records whether the
-    resolution inverted the decisions.  ``fc_max`` and ``gamma_min`` are the
-    resolved run-level constants.  Terminal state: (theta_final, psi_final,
-    s_hat_final).  ``quad_failures`` is always empty: the Fisher information
-    is read from a shipped, certified table and has no failure path (the
-    field stays while perfbench/tracer.py reads it).
+    resolution inverted the decisions.  ``reflect_margin`` is the anchor's
+    log-likelihood margin (nats) of the estimate's reflection over the
+    estimate, NaN where nothing was scored (the first iteration, a reused
+    block, or an estimate that is its own reflection);
+    ``reflection_adopted`` records whether the margin exceeded the evidence
+    threshold, so that the reflection replaced the EM estimate.  ``fc_max``
+    and ``gamma_min`` are the resolved run-level constants.  Terminal
+    state: (theta_final, psi_final, s_hat_final).  ``quad_failures`` is
+    always empty: the Fisher information is read from a shipped, certified
+    table and has no failure path (the field stays while
+    perfbench/tracer.py reads it).
     """
 
     theta_hat: np.ndarray
@@ -114,6 +123,8 @@ class RunTrace:
     theta_final: float = 0.0
     psi_final: float = 0.0
     s_hat_final: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    reflect_margin: np.ndarray = field(default_factory=lambda: np.empty(0))
+    reflection_adopted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
     quad_failures: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -159,11 +170,12 @@ _FLIP_EVIDENCE = 5.0
 def _resolve_reflection(
     theta_hat: float,
     psi: float,
-    anchor: ObservationBlock,
+    anchor_abs: np.ndarray,
+    anchor_sum: float,
     anchor_psi: float,
     params: ChannelParams,
-) -> float:
-    """Return theta_hat, or its reflection 2*psi - theta_hat if the anchor demands it.
+) -> tuple[float, float]:
+    """Return (theta_hat or its reflection 2*psi - theta_hat, the anchor's margin).
 
     A single block pins the channel phase only up to reflection about the
     LO phase it was measured at: the mixture means are +-A*cos(theta - psi),
@@ -172,18 +184,20 @@ def _resolve_reflection(
     another LO phase, delta away, tells them apart by its squared means,
     cos^2(phi - delta) - cos^2(phi + delta) = sin(2*phi) * sin(2*delta)
     with phi = theta_hat - psi, so the anchor is the held block with the
-    largest |sin 2*delta| (see :func:`run_qisac`).  The reflection is adopted
-    when the anchor's log-likelihood favors it by more than _FLIP_EVIDENCE.
-    Responsibilities and hard decisions are reflection-invariant on the
-    current block, so the flip needs no EM re-run.
+    largest |sin 2*delta| (see :func:`run_qisac`).  The anchor is given as
+    its |x| (``anchor_abs``) and their sum (``anchor_sum``), and
+    ``margin`` = loglik(reflection) - loglik(theta_hat) on it comes from
+    :func:`qisac.em.reflection_margin` in one call.  The reflection is
+    adopted when the margin exceeds _FLIP_EVIDENCE; an estimate that is its
+    own reflection is not scored and its margin is NaN.  Responsibilities
+    and hard decisions are reflection-invariant on the current block, so the
+    flip needs no EM re-run.
     """
     cand = canonical_phase(2.0 * psi - theta_hat)
     if abs(wrap_pi(cand - theta_hat)) <= 1e-9:
-        return theta_hat
-    margin = loglik(anchor, params, anchor_psi, cand) - loglik(
-        anchor, params, anchor_psi, theta_hat
-    )
-    return cand if margin > _FLIP_EVIDENCE else theta_hat
+        return theta_hat, math.nan
+    margin = reflection_margin(anchor_abs, anchor_sum, params, anchor_psi, theta_hat, cand)
+    return (cand if margin > _FLIP_EVIDENCE else theta_hat), margin
 
 
 def run_qisac(
@@ -202,7 +216,8 @@ def run_qisac(
     first is scored against one held anchor block, which decides whether
     to keep the estimate or adopt its reflection.  After each iteration the
     current block replaces the anchor when its LO phase is farther from the
-    next one, |sin 2(psi_block - psi_next)| larger than the anchor's.
+    next one, |sin 2(psi_block - psi_next)| larger than the anchor's; its
+    |x| and their sum are computed then, once per anchor.
     The Fisher information comes from a shipped table and cannot fail;
     EM failures propagate.
     """
@@ -214,12 +229,15 @@ def run_qisac(
     em_cfg = config.em
 
     theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l = [], [], [], [], [], [], []
+    margin_l, adopt_l = [], []
     fcm = None
     gamma = None
     theta_hat = None
     s_hat = np.empty(0, dtype=np.int64)
     anchor = None
     anchor_psi = 0.0
+    anchor_abs = np.empty(0)
+    anchor_sum = 0.0
 
     for t in range(config.t_max):
         if block is None or config.block_refresh:
@@ -233,8 +251,11 @@ def run_qisac(
         # at; with block_refresh off that phase stays psi0 while psi retunes
         res = run_em(block, params, block_psi, em_cfg)
         theta_hat = res.theta_hat
+        margin = math.nan
         if anchor is not None and anchor is not block:
-            theta_hat = _resolve_reflection(theta_hat, block_psi, anchor, anchor_psi, params)
+            theta_hat, margin = _resolve_reflection(
+                theta_hat, block_psi, anchor_abs, anchor_sum, anchor_psi, params
+            )
         s_hat = res.s_hat
         em_cfg = replace(em_cfg, init_theta=theta_hat)
 
@@ -249,6 +270,8 @@ def run_qisac(
         bth_l.append(ber_theory(params, psi))
         targ_l.append(kind)
         flip_l.append(flipped)
+        margin_l.append(margin)
+        adopt_l.append(margin > _FLIP_EVIDENCE)
 
         dpsi = wrap_pi(psi_tar - psi)
         psi = update_psi(psi, psi_tar, config.lam)
@@ -256,6 +279,8 @@ def run_qisac(
             math.sin(2.0 * (anchor_psi - psi))
         ):
             anchor, anchor_psi = block, block_psi
+            anchor_abs = np.abs(block.x)
+            anchor_sum = float(anchor_abs.sum())
         if abs(dpsi) < config.eps:
             break
 
@@ -274,4 +299,6 @@ def run_qisac(
         theta_final=float(theta_hat if theta_hat is not None else 0.0),
         psi_final=psi,
         s_hat_final=s_hat,
+        reflect_margin=np.array(margin_l, dtype=float),
+        reflection_adopted=np.array(adopt_l, dtype=bool),
     )

@@ -52,13 +52,14 @@ from typing import Callable
 
 import numpy as np
 
-from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase, expit
+from .physics import ChannelParams, ObservationBlock, block_means, canonical_phase, dot, expit
 
 __all__ = [
     "EmConfig",
     "EmResult",
     "e_step",
     "loglik",
+    "reflection_margin",
     "m_step_objective",
     "m_step_derivatives",
     "m_step",
@@ -176,14 +177,46 @@ def loglik(
     """
     sigma2 = params.noise_var()
     amu = abs(params.amplitude() * math.cos(theta - psi))
-    t = np.abs(block.x)
-    t *= -2.0 * amu / sigma2
-    soft = float(np.log1p(np.exp(t, out=t), out=t).sum())
-    d = np.abs(block.x, out=t)
+    d = np.abs(block.x)
+    soft = _soft_sum(d, amu, sigma2)
     d -= amu
-    return soft - float(d @ d) / (2.0 * sigma2) - block.n * (
+    return soft - float(dot(d, d, out=d)) / (2.0 * sigma2) - block.n * (
         math.log(2.0) + 0.5 * math.log(2.0 * math.pi * sigma2)
     )
+
+
+def _soft_sum(abs_x: np.ndarray, amu: float, sigma2: float) -> float:
+    """sum log1p(exp(-2*amu*|x|/sigma2)), the soft term of :func:`loglik`."""
+    t = np.multiply(abs_x, -2.0 * amu / sigma2)
+    return float(np.log1p(np.exp(t, out=t), out=t).sum())
+
+
+def reflection_margin(
+    abs_x: np.ndarray,
+    sum_abs_x: float,
+    params: ChannelParams,
+    psi: float,
+    theta: float,
+    cand: float,
+) -> float:
+    """loglik(cand) - loglik(theta) of a block measured at ``psi``, from |x| alone.
+
+    ``abs_x`` is the block's |x| and ``sum_abs_x`` its sum, both computed once
+    by the holder of the block.  With m = |A*cos(. - psi)| the log-likelihood
+    of :func:`loglik` is sum log1p(exp(-2m|x|/s2)) - sum (|x| - m)^2/(2*s2)
+    minus a constant, and the quadratic parts of the two angles differ only
+    through sum |x|:
+
+        (m1 - m0) * (2*sum|x| - N*(m1 + m0)) / (2*s2),
+
+    so the margin costs two soft-term passes and no square.
+    """
+    sigma2 = params.noise_var()
+    a = params.amplitude()
+    m0 = abs(a * math.cos(theta - psi))
+    m1 = abs(a * math.cos(cand - psi))
+    soft = _soft_sum(abs_x, m1, sigma2) - _soft_sum(abs_x, m0, sigma2)
+    return soft + (m1 - m0) * (2.0 * sum_abs_x - len(abs_x) * (m1 + m0)) / (2.0 * sigma2)
 
 
 def m_step_objective(
@@ -252,7 +285,7 @@ def m_step(
     and the result never increases J.
     """
     g = responsibilities
-    s = float((g[:, 0] - g[:, 1]) @ block.x)
+    s = float(dot(g[:, 0] - g[:, 1], block.x))
     return _m_step(s, float(g.sum()), params.amplitude(), psi, theta_t)
 
 
@@ -293,7 +326,7 @@ def run_em(
         # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
         mu = a * math.cos(theta - psi)
         t = x * (mu / sigma2)
-        s = float(np.tanh(t, out=t) @ x)
+        s = float(dot(np.tanh(t, out=t), x, out=t))
         theta_new = _m_step(s, block.n, a, psi, theta)
         thetas.append(theta_new)
         step = theta_new - theta

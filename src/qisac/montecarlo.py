@@ -9,6 +9,7 @@ output never depends on completion order (or on the worker count).
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,8 @@ __all__ = [
     "TradeoffCurve",
     "score_ber",
     "steady_window",
+    "median",
+    "quantile",
     "run_convergence_experiment",
     "run_tradeoff_sweep",
 ]
@@ -124,6 +127,38 @@ def steady_window(length: int) -> slice:
     return slice(length - k, length)
 
 
+def quantile(a, q: float, axis: int = 0) -> np.ndarray:
+    """``np.quantile(a, q, axis=axis)`` (method "linear") bit for bit, for finite ``a``.
+
+    Sorts along ``axis`` and interpolates between the two order statistics
+    around (n - 1) * q exactly as numpy does.  Unlike ``np.quantile`` it
+    never imports ``numpy.ma``, which costs a process ~17 ms on first use.
+    """
+    v = np.sort(a, axis=axis)
+    n = v.shape[axis]
+    pos = (n - 1) * q
+    k = math.floor(pos)
+    if k >= n - 1:
+        return v.take(n - 1, axis=axis)
+    t = pos - k
+    lo, hi = v.take(k, axis=axis), v.take(k + 1, axis=axis)
+    d = hi - lo
+    return hi - d * (1.0 - t) if t >= 0.5 else lo + d * t
+
+
+def median(a, axis: int = 0) -> np.ndarray:
+    """``np.median(a, axis=axis)`` bit for bit, for finite ``a``, without ``numpy.ma``.
+
+    The middle order statistic, or the mean (a + b) / 2 of the two middle
+    ones, as numpy forms it.
+    """
+    v = np.sort(a, axis=axis)
+    k = v.shape[axis] // 2
+    if v.shape[axis] % 2:
+        return v.take(k, axis=axis)
+    return (v.take(k - 1, axis=axis) + v.take(k, axis=axis)) / 2.0
+
+
 def steady_psi(trace: RunTrace) -> float:
     """Circular steady-state LO phase (mod pi) over the trace tail."""
     w = trace.psi[steady_window(len(trace))]
@@ -185,9 +220,9 @@ def run_convergence_experiment(spec: ExperimentSpec, threads: int = 1) -> Conver
     summary: dict[str, np.ndarray] = {"iterations": np.arange(t_common)}
     for name in ("theta_hat", "psi", "fc", "ber_emp"):
         stack = np.stack([getattr(tr, name)[:t_common] for tr in traces])
-        summary[f"{name}_median"] = np.median(stack, axis=0)
-        summary[f"{name}_q25"] = np.quantile(stack, 0.25, axis=0)
-        summary[f"{name}_q75"] = np.quantile(stack, 0.75, axis=0)
+        summary[f"{name}_median"] = median(stack)
+        summary[f"{name}_q25"] = quantile(stack, 0.25)
+        summary[f"{name}_q75"] = quantile(stack, 0.75)
     return ConvergenceResult(traces=traces, failures=failures, summary=summary)
 
 

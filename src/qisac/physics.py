@@ -12,8 +12,9 @@ Gaussian,
 
 so every statistic of the link depends on ``(theta, psi)`` only through the
 effective offset ``phi = theta - psi``.  This module holds the parameter
-container, the mean/derivative formulas, a bit-reproducible block sampler
-and the overflow-safe logistic shared by EM and the Fisher score.
+container, the mean/derivative formulas, a bit-reproducible block sampler,
+the overflow-safe logistic shared by EM and the Fisher score, and the one
+reduction order (:func:`dot`) of every float64 inner product in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator
 
 __all__ = [
     "ChannelParams",
@@ -29,6 +30,7 @@ __all__ = [
     "canonical_phase",
     "block_means",
     "block_mean_derivs",
+    "dot",
     "sample_block",
     "trial_seed",
 ]
@@ -150,20 +152,38 @@ def expit(z):
     return 1.0 / (1.0 + np.exp(np.minimum(-z, 700.0)))
 
 
+def dot(a, b, out=None):
+    """Inner product over the last axis, summed as one pairwise ``np.add.reduce``.
+
+    ``a @ b`` on float64 vectors is a BLAS dot whose summation order, and so
+    whose last bits, depend on the BLAS thread count.  The product followed
+    by numpy's own pairwise reduction gives the same bits on every host, and
+    each row of a C-contiguous (rows, N) pair gets exactly the bits of the
+    1-D call on that row.  ``out`` may name a scratch array (either operand)
+    to hold the product.
+    """
+    return np.add.reduce(np.multiply(a, b, out=out), axis=-1)
+
+
 def sample_block(params: ChannelParams, psi: float, n: int, seed: int) -> ObservationBlock:
     """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
 
     Symbols are equiprobable on {0, 1}. Outcomes are Gaussian with the
-    symbol-conditional mean and variance of the link. One counter-based
-    generator (Philox) keyed by the seed draws the symbols, then the noise,
-    so a block is a pure function of (params, psi, n, seed): same inputs,
-    bit-identical outputs, and distinct seeds give independent streams.
+    symbol-conditional mean and variance of the link.  One SFC64 generator
+    keyed by ``seed & (2**64 - 1)`` first yields ceil(n/64) raw 64-bit words,
+    whose bits, read least significant first from little-endian bytes on any
+    host, are the symbols; the same generator then draws the noise.  A block
+    is therefore a pure function of (params, psi, n, seed): same inputs,
+    bit-identical outputs within one numpy version, and distinct seeds give
+    independent streams.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    rng = Generator(Philox(key=int(seed) & _MASK64))
-    s = rng.integers(0, 2, size=n)
-    x = rng.standard_normal(n)
+    key = int(seed) & _MASK64
+    bits = SFC64(key)
+    words = bits.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(np.int64)
+    x = Generator(bits).standard_normal(n)
     x *= np.sqrt(params.noise_var())
     x += block_means(params, psi).take(s)
-    return ObservationBlock(x=x, s_true=s, seed=int(seed) & _MASK64)
+    return ObservationBlock(x=x, s_true=s, seed=key)

@@ -488,3 +488,12 @@ def test_pareto_root_evaluation_count(monkeypatch):
     calls[0] = 0
     assert pareto_known_theta(p, 1000, 1e-300).phi_star > 0.0
     assert calls[0] < 100
+    # at gamma = fc_max, hi = argmax F is itself a root (g_hi == 0), so no
+    # secant point moves it; plain bisection needed 39 evaluations here
+    calls[0] = 0
+    pareto_known_theta(p, 1000, fc_max(p, 1000))
+    assert calls[0] <= 25
+    # the smallest subnormal: its secant point underflows to 0 (591 by bisection)
+    calls[0] = 0
+    assert pareto_known_theta(p, 1000, 5e-324).phi_star > 0.0
+    assert calls[0] <= 100

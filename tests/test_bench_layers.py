@@ -30,13 +30,13 @@ def test_bench_layers_smoke(tmp_path, capsys):
         assert set(us) == set(r["minflt_per_iter"]) == {*tool.LAYERS, "rest", "total"}
         assert all(us[k] > 0 for k in tool.LAYERS)
         assert abs(sum(us[k] for k in (*tool.LAYERS, "rest")) - us["total"]) < 1e-6 * us["total"]
-        # one block, one EM run, one information evaluation and two
-        # reflection scores per counted iteration
-        assert calls == {"sample_block": 1.0, "run_em": 1.0, "loglik": 2.0,
+        # one block, one EM run, one information evaluation and one
+        # reflection margin per counted iteration
+        assert calls == {"sample_block": 1.0, "run_em": 1.0, "reflection_margin": 1.0,
                          "fisher_symbol": 1.0}
     # the controller's names are restored
     assert controller.run_em is em.run_em
-    assert controller.loglik is em.loglik
+    assert controller.reflection_margin is em.reflection_margin
     assert controller.fisher_symbol is fisher_symbol
     ana = doc["analytics"]
     assert ana["n"] == 1000

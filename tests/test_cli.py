@@ -263,8 +263,14 @@ def test_run_outputs_and_reproducibility(tmp_path, monkeypatch):
 
     trace = (out1 / "run_trace.csv").read_text().splitlines()
     assert trace[0] == ("iter,trial,theta_hat_deg,psi_deg,fc,fc_max,"
-                        "ber_emp,ber_theory,target")
-    assert all(row.split(",")[8] in ("com", "sen") for row in trace[1:])
+                        "ber_emp,ber_theory,target,reflect_margin,reflection_adopted")
+    rows = [row.split(",") for row in trace[1:]]
+    assert all(row[8] in ("com", "sen") for row in rows)
+    # iteration 0 has no anchor to score against; an adopted reflection
+    # always carries a margin above the evidence threshold
+    assert all(row[9] == "nan" for row in rows if row[0] == "0")
+    assert all(row[10] in ("0", "1") for row in rows)
+    assert all(float(row[9]) > 5.0 for row in rows if row[10] == "1")
 
     doc = json.loads((out1 / "run_summary.json").read_text())
     assert doc["master_seed"] == 5
@@ -273,6 +279,8 @@ def test_run_outputs_and_reproducibility(tmp_path, monkeypatch):
     assert doc["trials_failed"] == []
     assert len(doc["steady"]["psi_deg_per_trial"]) == 2
     assert doc["steady"]["fc_over_gamma_median"] > 0
+    assert doc["reflection_flips_per_trial"] == [
+        sum(row[10] == "1" for row in rows if row[1] == str(k)) for k in range(2)]
     # echo must re-parse to the executed spec
     spec_echo, _, _ = parse_config(doc["config"], "run")
     assert spec_echo.seed == 5
@@ -425,6 +433,53 @@ def test_cli_never_imports_scipy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _child_env(**extra):
+    """The test process's environment, with the imported qisac tree on the path."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+
+def test_run_never_imports_numpy_ma(tmp_path):
+    # the per-iteration medians and quartiles are sort-based; np.median and
+    # np.quantile would import numpy.ma, ~17 ms on a process's first call
+    cfg = _write_doc(tmp_path, _base_doc(experiment={"n_block": 50, "trials": 3, "seed": 3}))
+    run = ["--out-dir", str(tmp_path / "r"), "run", cfg]
+    script = (
+        "import sys\n"
+        "from qisac.cli import main\n"
+        f"assert main({run!r}) == 0\n"
+        "loaded = [m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot splits long vectors across its threads and so changes the
+    # last bits of a sum; every inner product here is numpy's pairwise sum
+    doc = _base_doc(experiment={"n_block": 50000, "trials": 2, "seed": 11})
+    doc["algo"].update(eps=0.0, t_max=12)
+    cfg = _write_doc(tmp_path, doc)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qisac.cli", "--out-dir", str(out), "run", cfg],
+            capture_output=True, text=True,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("run_trace.csv", "run_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_threads_default_to_serial():

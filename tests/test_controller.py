@@ -138,6 +138,26 @@ def test_run_qisac_recovers_from_mirrored_start(params_common):
     assert min(d_psi, np.pi - d_psi) < math.radians(4.0)
 
 
+def test_run_qisac_records_reflection_decisions(params_common):
+    # from the mirrored start the anchor must adopt the reflection at least
+    # once; every adoption is a margin above the evidence threshold, and
+    # iteration 0, with no anchor yet, scores nothing
+    mirror0 = float(2.0 * math.radians(90.0) - params_common.theta)
+    cfg = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.02, eps=0.0, t_max=120,
+                     psi0=math.radians(90.0), em=EmConfig(init_theta=mirror0))
+    trace = run_qisac(_source(params_common), params_common, cfg)
+    margin, adopted = trace.reflect_margin, trace.reflection_adopted
+    assert margin.shape == adopted.shape == (len(trace),)
+    assert adopted.dtype == bool
+    assert np.isnan(margin[0]) and np.isfinite(margin[1:]).mean() > 0.9
+    assert np.array_equal(adopted, margin > controller._FLIP_EVIDENCE)
+    assert adopted.sum() >= 1
+    # a reused block is its own anchor: nothing is scored
+    trace = run_qisac(_source(params_common), params_common,
+                      replace(cfg, block_refresh=False, t_max=5))
+    assert np.isnan(trace.reflect_margin).all() and not trace.reflection_adopted.any()
+
+
 def test_run_qisac_keeps_physical_side_in_long_runs():
     # Criterion 7's low-demand geometry run well past its horizon: the LO
     # dithers at the constraint and moves little from block to block, so

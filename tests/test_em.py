@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qisac import ChannelParams, EmConfig, fisher_symbol, run_em, sample_block, wrap_pi
-from qisac.em import e_step, loglik, m_step_derivatives, m_step, m_step_objective
+from qisac.em import (
+    e_step,
+    loglik,
+    m_step,
+    m_step_derivatives,
+    m_step_objective,
+    reflection_margin,
+)
 from qisac.physics import ObservationBlock, block_means, expit
 
 
@@ -370,8 +377,10 @@ def test_run_em_decisions_follow_responsibilities_randomized():
 
 def test_run_em_loglik_trace_is_loglik_at_iterates(params_common):
     # iterate k is the final angle of the same run capped at k iterations;
-    # near psi no iterate is reduced mod pi, so theta_hat is that angle
-    psi = 0.8
+    # near psi no iterate is reduced mod pi, so theta_hat is that angle.
+    # At a 0.4 rad offset the fixed point |cos| ~ 0.92 lies well inside 1, so
+    # S/(N*A) does not clip and EM needs several steps on any stream
+    psi = params_common.theta - 0.4
     blk = sample_block(params_common, psi, 500, seed=53)
     cfg = EmConfig(eps=1e-9)
     res = run_em(blk, params_common, psi, cfg)
@@ -382,6 +391,27 @@ def test_run_em_loglik_trace_is_loglik_at_iterates(params_common):
     expected = np.array([loglik(blk, params_common, psi, th) for th in iterates])
     assert np.array_equal(res.loglik_trace, expected)
     assert res.loglik_trace is res.loglik_trace      # built once, then kept
+
+
+def test_reflection_margin_is_the_loglik_difference():
+    # the closed-form quadratic difference and the two soft terms give
+    # loglik(cand) - loglik(theta) on the block's |x| alone
+    rng = np.random.default_rng(2024)
+    for energy in (1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4):
+        for _ in range(6):
+            params = ChannelParams(E=energy, eta=float(rng.uniform(0.3, 1.0)),
+                                   Na=float(rng.uniform(0.0, 4.0)),
+                                   theta=float(rng.uniform(0.0, np.pi)))
+            psi = float(rng.uniform(0.0, np.pi))
+            n = int(rng.integers(1, 5000))
+            blk = sample_block(params, psi, n, seed=int(rng.integers(1 << 62)))
+            theta, cand = (float(v) for v in rng.uniform(0.0, np.pi, 2))
+            ll0 = loglik(blk, params, psi, theta)
+            ll1 = loglik(blk, params, psi, cand)
+            abs_x = np.abs(blk.x)
+            got = reflection_margin(abs_x, float(abs_x.sum()), params, psi, theta, cand)
+            assert abs(got - (ll1 - ll0)) <= 1e-12 * max(abs(ll0), abs(ll1)), (energy, n)
+            assert reflection_margin(abs_x, float(abs_x.sum()), params, psi, theta, theta) == 0.0
 
 
 def test_em_config_validation():

@@ -18,7 +18,7 @@ from qisac import (
     steady_window,
     trial_seed,
 )
-from qisac.montecarlo import steady_mean, steady_psi
+from qisac.montecarlo import median, quantile, steady_mean, steady_psi
 
 
 def _spec(params, trials=2, n_block=300, t_max=20, seed=42, **algo_kw):
@@ -71,6 +71,19 @@ def test_steady_window_tail_fraction():
 def test_steady_mean_uses_tail_only():
     v = np.array([100.0] * 8 + [1.0, 3.0])
     assert steady_mean(v) == 2.0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 8])
+def test_median_and_quantile_reproduce_numpy(trials):
+    rng = np.random.default_rng(trials)
+    for scale in (1e-3, 1.0, 1e6):
+        stack = scale * rng.standard_normal((trials, 37))
+        stack[:, 0] = 0.25                     # ties
+        assert np.array_equal(median(stack), np.median(stack, axis=0))
+        for q in (0.0, 0.25, 0.5, 0.75, 1.0, 0.1):
+            assert np.array_equal(quantile(stack, q), np.quantile(stack, q, axis=0)), q
+        vals = list(stack[:, 1])
+        assert float(median(vals)) == float(np.median(vals))
 
 
 def test_steady_psi_is_circular():

@@ -12,6 +12,7 @@ from qisac import (
     sample_block,
     trial_seed,
 )
+from qisac.physics import dot
 
 
 def test_canonical_phase_half_open_contract():
@@ -133,6 +134,41 @@ def test_sample_block_statistics():
         assert abs(xs.var() - p.noise_var()) < 0.05 * p.noise_var()
     # equiprobable symbols
     assert abs(blk.s_true.mean() - 0.5) < 5 / math.sqrt(n)
+
+
+def test_sample_block_symbols_are_raw_word_bits():
+    # symbol 64*j + k is bit k of the j-th raw word of SFC64(seed & (2**64 - 1)),
+    # whatever the host's byte order, and the noise follows from the same
+    # generator; a negative seed is reduced to 64 bits
+    p = ChannelParams(10.0, 0.8, 3.0, theta=0.3)
+    n, seed = 200, -12345
+    key = seed & (2**64 - 1)
+    bits = np.random.SFC64(key)
+    words = [int(w) for w in bits.random_raw(4)]
+    expected = [(words[i // 64] >> (i % 64)) & 1 for i in range(n)]
+    noise = np.random.Generator(bits).standard_normal(n)
+    blk = sample_block(p, 0.1, n, seed=seed)
+    assert blk.s_true.dtype == np.int64
+    assert blk.s_true.tolist() == expected
+    assert blk.seed == key
+    means = block_means(p, 0.1)
+    assert np.array_equal(blk.x, noise * math.sqrt(p.noise_var()) + means[blk.s_true])
+    # the symbols of a shorter block are a prefix of a longer one's
+    assert sample_block(p, 0.1, 64, seed=seed).s_true.tolist() == expected[:64]
+
+
+def test_dot_is_the_pairwise_sum_row_by_row():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 8192, 20000, 50001):
+        a = rng.standard_normal((3, n))
+        b = rng.standard_normal((3, n))
+        rows = dot(a, b)
+        for i in range(3):
+            one = dot(a[i], b[i])
+            assert one == np.add.reduce(a[i] * b[i])
+            assert rows[i] == one
+        scratch = a[0].copy()
+        assert dot(scratch, b[0], out=scratch) == dot(a[0], b[0])
 
 
 def test_sample_block_rejects_empty():

@@ -14,7 +14,10 @@ controller calls are wrapped with timers and minor-page-fault counters
 
 - ``sample_block``   drawing the block (the block source),
 - ``run_em``         EM on the block,
-- ``loglik``         reflection scoring against the held anchor block,
+- ``reflection_margin`` reflection scoring against the held anchor block
+  (``qisac.controller.reflection_margin``, one call per iteration; a tree
+  whose controller binds ``loglik`` instead, two calls per iteration, is
+  timed through that name under the same layer),
 - ``fisher_symbol``  the block Fisher information,
 - ``rest``           what the whole iteration spends outside those calls,
 - ``total``          the whole iteration, block source to block source.
@@ -75,8 +78,13 @@ from qisac import analytics, cli, controller
 from qisac.controller import AlgoConfig, run_qisac
 from qisac.physics import ChannelParams, sample_block, trial_seed
 
-LAYERS = ("sample_block", "run_em", "loglik", "fisher_symbol")
-SEAMS = ("run_em", "loglik", "fisher_symbol")   # names bound in qisac.controller
+LAYERS = ("sample_block", "run_em", "reflection_margin", "fisher_symbol")
+# layer -> names qisac.controller may bind for it; the first one present is timed
+SEAMS = {
+    "run_em": ("run_em",),
+    "reflection_margin": ("reflection_margin", "loglik"),
+    "fisher_symbol": ("fisher_symbol",),
+}
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
 # caches keyed by (A, sigma^2); names a tree lacks are skipped, so one tool
 # times both sides of a change that adds or removes one
@@ -126,10 +134,12 @@ def measure(n: int, iters: int, seed: int) -> dict:
 
     cfg = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.01, eps=0.0,
                      t_max=iters + 1, psi0=math.radians(90.0))
-    saved = {name: getattr(controller, name) for name in SEAMS}
+    bound = {layer: next(name for name in names if hasattr(controller, name))
+             for layer, names in SEAMS.items()}
+    saved = {name: getattr(controller, name) for name in bound.values()}
     try:
-        for name in SEAMS:
-            setattr(controller, name, meter.wrap(name, saved[name]))
+        for layer, name in bound.items():
+            setattr(controller, name, meter.wrap(layer, saved[name]))
         run_qisac(source, PARAMS, cfg)
         end = (time.perf_counter(), _minflt())
     finally:
