@@ -35,7 +35,7 @@ spec = ExperimentSpec(
     sweep=tuple((f, 3.0, n) for f in fracs),
 )
 
-curve = run_tradeoff_sweep(spec, threads=4)
+curve = run_tradeoff_sweep(spec)
 
 print(f"block information ceiling at N={n}: {fc_max(params, n):.1f}")
 print()

@@ -318,7 +318,7 @@ def cmd_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = run_convergence_experiment(spec, threads=args.threads)
+    result = run_convergence_experiment(spec)
 
     rows = []
     for k, tr in enumerate(result.traces):
@@ -382,7 +382,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    curve = run_tradeoff_sweep(spec, threads=args.threads)
+    curve = run_tradeoff_sweep(spec)
     rows = [(p.gamma_frac, p.na, p.n, p.ber_sim, p.ber_stderr, p.ber_theory)
             for p in curve.points]
     _write_csv(out / "sweep_results.csv",
@@ -414,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="master seed override (beats config and QISAC_SEED)")
     ap.add_argument("--out-dir", default=".", help="directory for output files")
     ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads for independent trials (default 1: the "
-                         "thread pool is slower than serial on small blocks)")
+                    help="trials run serially; only 1 is accepted (kept so old commands parse)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analytics", help="closed-form tables on a phase-offset grid")
@@ -441,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        if args.threads != 1:
+            raise ConfigError(f"--threads accepts only 1 (trials run serially), got {args.threads}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -14,7 +14,12 @@ with round-half-away-from-zero, so the update always takes the short way
 around the mod-pi circle.  The loop stops when the (unscaled) wrapped
 correction falls below the outer tolerance or after t_max iterations; near
 the feasibility boundary the target alternates between the two optima and
-the phase dithers there instead of meeting the tolerance.
+the phase dithers there instead of meeting the tolerance.  The paper's rule
+has a trap: the sensing target theta_hat + pi/2 is a zero-information
+point, and past the peak of F steering toward it lowers F.  At E = 10,
+eta = 0.8, Na = 3 the peak is at 59.8 deg, and a run that starts above
+85.3, 81.2, 75.7 or 68.0 deg (gamma_min = 0.1, 0.3, 0.6 or 0.9 * F_max,
+where N * F < gamma_min) stays near 90 deg with F_c ~ 0.
 
 One block measured at a single LO phase determines the channel phase only
 up to reflection about that LO phase (the outcome law is even in the
@@ -39,6 +44,7 @@ import numpy as np
 
 from .analytics import ber_theory, fc_max, fisher_symbol, optimal_angles
 from .em import EmConfig, reflection_margin, run_em
+from .errors import QisacError
 from .physics import ChannelParams, ObservationBlock, canonical_phase
 
 __all__ = [
@@ -219,7 +225,7 @@ def run_qisac(
     next one, |sin 2(psi_block - psi_next)| larger than the anchor's; its
     |x| and their sum are computed then, once per anchor.
     The Fisher information comes from a shipped table and cannot fail;
-    EM failures propagate.
+    a QisacError propagates with its ``iteration`` set to the outer iteration.
     """
     from .montecarlo import score_ber  # deferred: montecarlo uses this module
 
@@ -239,50 +245,54 @@ def run_qisac(
     anchor_abs = np.empty(0)
     anchor_sum = 0.0
 
-    for t in range(config.t_max):
-        if block is None or config.block_refresh:
-            block = block_source(psi, t)
-            block_psi = psi
-        if fcm is None:
-            fcm = fc_max(params, block.n)
-            gamma = config.gamma_min * fcm if config.gamma_relative else config.gamma_min
+    try:
+        for t in range(config.t_max):
+            if block is None or config.block_refresh:
+                block = block_source(psi, t)
+                block_psi = psi
+            if fcm is None:
+                fcm = fc_max(params, block.n)
+                gamma = config.gamma_min * fcm if config.gamma_relative else config.gamma_min
 
-        # the block is always interpreted at the LO phase it was measured
-        # at; with block_refresh off that phase stays psi0 while psi retunes
-        res = run_em(block, params, block_psi, em_cfg)
-        theta_hat = res.theta_hat
-        margin = math.nan
-        if anchor is not None and anchor is not block:
-            theta_hat, margin = _resolve_reflection(
-                theta_hat, block_psi, anchor_abs, anchor_sum, anchor_psi, params
-            )
-        s_hat = res.s_hat
-        em_cfg = replace(em_cfg, init_theta=theta_hat)
+            # the block is always interpreted at the LO phase it was measured
+            # at; with block_refresh off that phase stays psi0 while psi retunes
+            res = run_em(block, params, block_psi, em_cfg)
+            theta_hat = res.theta_hat
+            margin = math.nan
+            if anchor is not None and anchor is not block:
+                theta_hat, margin = _resolve_reflection(
+                    theta_hat, block_psi, anchor_abs, anchor_sum, anchor_psi, params
+                )
+            s_hat = res.s_hat
+            em_cfg = replace(em_cfg, init_theta=theta_hat)
 
-        fc = fisher_symbol(replace(params, theta=theta_hat), psi, n=block.n).block
-        ber_emp, flipped = score_ber(s_hat, block.s_true)
-        kind, psi_tar = select_target(fc, gamma, theta_hat)
+            fc = fisher_symbol(replace(params, theta=theta_hat), psi, n=block.n).block
+            ber_emp, flipped = score_ber(s_hat, block.s_true)
+            kind, psi_tar = select_target(fc, gamma, theta_hat)
 
-        theta_l.append(theta_hat)
-        psi_l.append(psi)
-        fc_l.append(fc)
-        bemp_l.append(ber_emp)
-        bth_l.append(ber_theory(params, psi))
-        targ_l.append(kind)
-        flip_l.append(flipped)
-        margin_l.append(margin)
-        adopt_l.append(margin > _FLIP_EVIDENCE)
+            theta_l.append(theta_hat)
+            psi_l.append(psi)
+            fc_l.append(fc)
+            bemp_l.append(ber_emp)
+            bth_l.append(ber_theory(params, psi))
+            targ_l.append(kind)
+            flip_l.append(flipped)
+            margin_l.append(margin)
+            adopt_l.append(margin > _FLIP_EVIDENCE)
 
-        dpsi = wrap_pi(psi_tar - psi)
-        psi = update_psi(psi, psi_tar, config.lam)
-        if anchor is None or abs(math.sin(2.0 * (block_psi - psi))) > abs(
-            math.sin(2.0 * (anchor_psi - psi))
-        ):
-            anchor, anchor_psi = block, block_psi
-            anchor_abs = np.abs(block.x)
-            anchor_sum = float(anchor_abs.sum())
-        if abs(dpsi) < config.eps:
-            break
+            dpsi = wrap_pi(psi_tar - psi)
+            psi = update_psi(psi, psi_tar, config.lam)
+            if anchor is None or abs(math.sin(2.0 * (block_psi - psi))) > abs(
+                math.sin(2.0 * (anchor_psi - psi))
+            ):
+                anchor, anchor_psi = block, block_psi
+                anchor_abs = np.abs(block.x)
+                anchor_sum = float(anchor_abs.sum())
+            if abs(dpsi) < config.eps:
+                break
+    except QisacError as err:
+        err.iteration = t
+        raise
 
     return RunTrace(
         theta_hat=np.array(theta_l),

@@ -1,16 +1,14 @@
 """Multi-trial experiment harness: convergence runs and trade-off sweeps.
 
-Trials are embarrassingly parallel: each gets an independent RNG stream
-derived from the master seed and its trial index, blocks within a trial get
-per-iteration sub-streams, and results are aggregated by trial index so the
-output never depends on completion order (or on the worker count).
+Trials run serially.  Each draws from its own RNG stream, derived from the
+master seed and its trial index, with per-iteration sub-streams for its
+blocks, so a trial's trace depends only on the spec and its index.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,30 +179,20 @@ def _single_trial(spec: ExperimentSpec, index: int) -> RunTrace:
     return run_qisac(source, spec.params, spec.algo)
 
 
-def _run_trials(spec: ExperimentSpec, threads: int) -> tuple[list[RunTrace], list[tuple[int, str]]]:
-    def guarded(i: int):
-        try:
-            return i, _single_trial(spec, i), None
-        except QisacError as err:
-            return i, None, f"{type(err).__name__}: {err}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(guarded, range(spec.trials)))
-    else:
-        results = [guarded(i) for i in range(spec.trials)]
-
+def _run_trials(spec: ExperimentSpec) -> tuple[list[RunTrace], list[tuple[int, str]]]:
     traces, failures = [], []
-    for i, trace, err in results:          # already ordered by trial index
-        if trace is not None:
-            traces.append(trace)
-        else:
-            failures.append((i, err))
-            log.warning("trial %d (seed %d) failed: %s", i, trial_seed(spec.seed, i), err)
+    for i in range(spec.trials):
+        try:
+            traces.append(_single_trial(spec, i))
+        except QisacError as err:
+            where = "" if err.iteration is None else f"iteration {err.iteration}: "
+            msg = f"{type(err).__name__}: {where}{err}"
+            failures.append((i, msg))
+            log.warning("trial %d (seed %d) failed: %s", i, trial_seed(spec.seed, i), msg)
     return traces, failures
 
 
-def run_convergence_experiment(spec: ExperimentSpec, threads: int = 1) -> ConvergenceResult:
+def run_convergence_experiment(spec: ExperimentSpec) -> ConvergenceResult:
     """Run the control loop for ``trials`` independent seeds and aggregate.
 
     Per-trial failures are collected, not fatal — unless every trial fails.
@@ -212,7 +200,7 @@ def run_convergence_experiment(spec: ExperimentSpec, threads: int = 1) -> Conver
     estimated phase, LO phase, block Fisher information, and empirical BER
     over the iteration range common to all successful trials.
     """
-    traces, failures = _run_trials(spec, threads)
+    traces, failures = _run_trials(spec)
     if not traces:
         raise QisacError(f"all {spec.trials} trials failed; first: {failures[0][1]}")
 
@@ -226,7 +214,7 @@ def run_convergence_experiment(spec: ExperimentSpec, threads: int = 1) -> Conver
     return ConvergenceResult(traces=traces, failures=failures, summary=summary)
 
 
-def run_tradeoff_sweep(spec: ExperimentSpec, threads: int = 1) -> TradeoffCurve:
+def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
     """Steady-state BER against the required Fisher fraction, per sweep entry.
 
     For each (gamma_frac, Na, N): the constraint is gamma_frac times that
@@ -250,7 +238,7 @@ def run_tradeoff_sweep(spec: ExperimentSpec, threads: int = 1) -> TradeoffCurve:
             continue
         algo_i = replace(spec.algo, gamma_min=gamma, gamma_relative=False)
         spec_i = replace(spec, params=params_i, algo=algo_i, n_block=n, sweep=None)
-        traces, failures = _run_trials(spec_i, threads)
+        traces, failures = _run_trials(spec_i)
         if not traces:
             raise QisacError(
                 f"all trials failed at gamma_frac={gamma_frac}, Na={na}, N={n}: "

@@ -139,8 +139,8 @@ def _splitmix64(v: int) -> int:
 def trial_seed(master_seed: int, index: int) -> int:
     """Independent 64-bit stream seed for trial ``index``: master XOR hash(index).
 
-    The hash decorrelates consecutive indices so trials can run in parallel
-    with no stream overlap in practice.
+    The hash decorrelates consecutive indices, so each trial draws from its
+    own stream, with no overlap in practice, whichever trials run before it.
     """
     if index < 0:
         raise ValueError("index must be non-negative")

@@ -49,7 +49,6 @@ from qisac.em import EmResult, e_step, m_step_derivatives, m_step_objective
 from qisac.montecarlo import steady_mean, steady_psi
 
 COMMON = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.0)
-THREADS = 4
 
 
 def test_criterion_1_error_rate_formula_matches_sampling():
@@ -229,7 +228,7 @@ def test_criterion_6_closed_loop_convergence_regression():
         trials=20,
         seed=2026,
     )
-    res = run_convergence_experiment(spec, threads=THREADS)
+    res = run_convergence_experiment(spec)
     assert len(res.traces) == 20
 
     psi_deg = [math.degrees(steady_psi(tr)) for tr in res.traces]
@@ -280,7 +279,7 @@ def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
             params=params, algo=algo, n_block=n, trials=trials, seed=seed,
             sweep=tuple((f, 3.0, n) for f in fracs),
         )
-        return run_tradeoff_sweep(spec, threads=THREADS).points
+        return run_tradeoff_sweep(spec).points
 
     pts5k = sweep(5000, 8, seed=707)
     pts50k = sweep(50000, 4, seed=708)

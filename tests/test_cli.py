@@ -239,8 +239,10 @@ def test_analytics_rejects_bad_counts(tmp_path, capsys, flag, value):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("threads", ["0", "-2", "2", "4"])
 def test_rejects_nonpositive_threads(tmp_path, capsys, threads):
+    # trials run serially: the flag is kept so existing command lines still
+    # parse, and every value but 1 is a configuration error
     cfg = _write_doc(tmp_path, _base_doc())
     rc = main(["--out-dir", str(tmp_path / "x"), "--threads", threads, "run", cfg])
     assert rc == 2
@@ -254,10 +256,10 @@ def test_run_outputs_and_reproducibility(tmp_path, monkeypatch):
     monkeypatch.delenv("QISAC_SEED", raising=False)
     cfg = _write_doc(tmp_path, _base_doc())
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["--out-dir", str(out1), "--threads", "2", "run", cfg]) == 0
+    assert main(["--out-dir", str(out1), "run", cfg]) == 0
     assert main(["--out-dir", str(out2), "--threads", "1", "run", cfg]) == 0
 
-    # byte-identical rerun regardless of worker count
+    # byte-identical rerun
     assert (out1 / "run_trace.csv").read_bytes() == (out2 / "run_trace.csv").read_bytes()
     assert (out1 / "run_summary.json").read_bytes() == (out2 / "run_summary.json").read_bytes()
 
@@ -348,7 +350,7 @@ def test_run_missing_config_file_exits_2(tmp_path):
 def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
     from qisac import QisacError
 
-    def explode(spec, threads=1):
+    def explode(spec):
         raise QisacError("all trials failed")
 
     monkeypatch.setattr(cli, "run_convergence_experiment", explode)
@@ -366,7 +368,7 @@ def test_sweep_outputs(tmp_path, monkeypatch):
     doc["experiment"]["trials"] = 2
     cfg = _write_doc(tmp_path, doc)
     out = tmp_path / "sw"
-    assert main(["--out-dir", str(out), "--threads", "2", "sweep", cfg]) == 0
+    assert main(["--out-dir", str(out), "sweep", cfg]) == 0
 
     rows = (out / "sweep_results.csv").read_text().splitlines()
     assert rows[0] == "gamma_frac,Na,N,ber_sim,ber_stderr,ber_theory_known_theta"
@@ -483,7 +485,7 @@ def test_run_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_threads_default_to_serial():
-    # the thread pool is slower than serial on the shipped configs
+    # the flag survives only so existing command lines parse; 1 is its one value
     assert cli.build_parser().parse_args(["run", "c.json"]).threads == 1
 
 

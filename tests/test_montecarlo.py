@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import qisac.controller as controller
 import qisac.montecarlo as mc
 from qisac import (
     AlgoConfig,
@@ -136,13 +137,17 @@ def test_convergence_deterministic_rerun(params_common):
         assert np.array_equal(a.ber_emp, b.ber_emp)
 
 
-def test_convergence_thread_count_is_invisible(params_common):
+def test_trial_trace_depends_only_on_its_index(params_common):
+    # a trial run alone, with the trials visited in reverse order, gives the
+    # trace it has inside the experiment: swapping trial order changes nothing
     spec = _spec(params_common, trials=4, t_max=10)
-    r1 = run_convergence_experiment(spec, threads=1)
-    r4 = run_convergence_experiment(spec, threads=4)
-    for a, b in zip(r1.traces, r4.traces):
-        assert np.array_equal(a.psi, b.psi)
-        assert np.array_equal(a.ber_emp, b.ber_emp)
+    res = run_convergence_experiment(spec)
+    assert len(res.traces) == spec.trials
+    for i in reversed(range(spec.trials)):
+        alone = mc._single_trial(spec, i)
+        for name in ("psi", "theta_hat", "ber_emp", "reflect_margin"):
+            assert np.array_equal(getattr(res.traces[i], name), getattr(alone, name),
+                                  equal_nan=True), (i, name)
 
 
 def test_convergence_trials_differ(params_common):
@@ -201,6 +206,29 @@ def test_trial_failure_warning_names_index_and_seed(params_common, monkeypatch, 
     assert msgs == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: QisacError: forced"]
 
 
+def test_failed_trial_names_its_iteration(params_common, monkeypatch, caplog):
+    # EM raises at outer iteration 3 of trial 1; with eps = 0 every trial
+    # makes exactly t_max EM calls, so that is call t_max + 4 overall
+    real = controller.run_em
+    calls = [0]
+    spec = _spec(params_common, trials=3, t_max=5)
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == spec.algo.t_max + 4:
+            raise QisacError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "run_em", failing)
+    with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
+        res = run_convergence_experiment(spec)
+    msg = "QisacError: iteration 3: forced"
+    assert res.failures == [(1, msg)]
+    assert len(res.traces) == 2
+    logged = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
+    assert logged == [f"trial 1 (seed {trial_seed(spec.seed, 1)}) failed: {msg}"]
+
+
 def test_convergence_all_failed_raises(params_common, monkeypatch):
     def broken(spec, index):
         raise QisacError("forced")
@@ -228,7 +256,7 @@ def test_smaller_blocks_mean_noisier_constraint_tracking(params_common):
     # information normalised by its achievable maximum makes the two block
     # sizes commensurable
     def tail_var(spec):
-        res = run_convergence_experiment(spec, threads=3)
+        res = run_convergence_experiment(spec)
         out = []
         for tr in res.traces:
             w = steady_window(len(tr))
@@ -267,7 +295,7 @@ def test_sweep_point_fields_and_theory(params_theta0):
         seed=11,
         sweep=((0.0, 3.0, 400), (0.5, 3.0, 400)),
     )
-    curve = run_tradeoff_sweep(spec, threads=3)
+    curve = run_tradeoff_sweep(spec)
     assert curve.trials == 3
     assert [p.gamma_frac for p in curve.points] == [0.0, 0.5]
     for p in curve.points:

@@ -15,9 +15,7 @@ controller calls are wrapped with timers and minor-page-fault counters
 - ``sample_block``   drawing the block (the block source),
 - ``run_em``         EM on the block,
 - ``reflection_margin`` reflection scoring against the held anchor block
-  (``qisac.controller.reflection_margin``, one call per iteration; a tree
-  whose controller binds ``loglik`` instead, two calls per iteration, is
-  timed through that name under the same layer),
+  (``qisac.controller.reflection_margin``, one call per iteration),
 - ``fisher_symbol``  the block Fisher information,
 - ``rest``           what the whole iteration spends outside those calls,
 - ``total``          the whole iteration, block source to block source.
@@ -34,13 +32,18 @@ from the same cleared state:
 
 - ``first_fisher_us``      ``fisher_symbol`` after every cache of
   ``qisac.analytics`` is cleared, imports excluded: one O(1) evaluation on
-  the shipped table of h (a tree that builds the table at run time pays the
-  build here),
+  the shipped table of h,
 - ``fc_max_cold_us``       ``fc_max`` with the per-channel caches cleared,
 - ``fisher_argmax_cold_us`` the same for ``fisher_argmax``,
 - ``grid_us``              the 181-point offset grid as ``qisac analytics``
   builds it: ``cli.cmd_analytics`` on the theta = 0 channel from entry to its
   first CSV write (which is not made).
+
+The cold figures carry a per-process offset that the median does not
+remove: on unchanged analytics code, two runs back to back have read
+``fc_max_cold_us``, ``fisher_argmax_cold_us`` and ``grid_us`` up to about
+1.5x apart.  A before/after of those keys therefore needs several runs of
+both trees, alternating which one runs first.
 
 Two per-call figures complete it:
 
@@ -79,16 +82,10 @@ from qisac.controller import AlgoConfig, run_qisac
 from qisac.physics import ChannelParams, sample_block, trial_seed
 
 LAYERS = ("sample_block", "run_em", "reflection_margin", "fisher_symbol")
-# layer -> names qisac.controller may bind for it; the first one present is timed
-SEAMS = {
-    "run_em": ("run_em",),
-    "reflection_margin": ("reflection_margin", "loglik"),
-    "fisher_symbol": ("fisher_symbol",),
-}
+# the layers qisac.controller calls by module-level name, wrapped in place
+SEAMS = ("run_em", "reflection_margin", "fisher_symbol")
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
-# caches keyed by (A, sigma^2); names a tree lacks are skipped, so one tool
-# times both sides of a change that adds or removes one
-CHANNEL_CACHES = ("_fisher_peak", "_fisher_monotone_on_rise")
+CHANNEL_CACHES = ("_fisher_peak",)   # caches keyed by (A, sigma^2)
 PARETO_POINTS = 21
 COLD_REPS = 101    # repetitions behind each cold analytics median
 
@@ -134,12 +131,10 @@ def measure(n: int, iters: int, seed: int) -> dict:
 
     cfg = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.01, eps=0.0,
                      t_max=iters + 1, psi0=math.radians(90.0))
-    bound = {layer: next(name for name in names if hasattr(controller, name))
-             for layer, names in SEAMS.items()}
-    saved = {name: getattr(controller, name) for name in bound.values()}
+    saved = {name: getattr(controller, name) for name in SEAMS}
     try:
-        for layer, name in bound.items():
-            setattr(controller, name, meter.wrap(layer, saved[name]))
+        for name, fn in saved.items():
+            setattr(controller, name, meter.wrap(name, fn))
         run_qisac(source, PARAMS, cfg)
         end = (time.perf_counter(), _minflt())
     finally:
@@ -164,8 +159,7 @@ def measure(n: int, iters: int, seed: int) -> dict:
 
 def _clear_caches(names) -> None:
     for name in names:
-        if hasattr(analytics, name):
-            getattr(analytics, name).cache_clear()
+        getattr(analytics, name).cache_clear()
 
 
 def _timed_us(fn) -> float:
