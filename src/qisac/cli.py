@@ -81,8 +81,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, doc: dict) -> None:

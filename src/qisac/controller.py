@@ -37,7 +37,7 @@ moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -141,8 +141,15 @@ def wrap_pi(x):
     """Reduce an angle difference to [-pi/2, pi/2]: x - pi*round(x/pi).
 
     Ties (x/pi exactly half-integral) round away from zero, so
-    wrap_pi(pi/2) == -pi/2.  Accepts scalars or arrays.
+    wrap_pi(pi/2) == -pi/2.  Accepts scalars or arrays.  A finite float
+    takes a path in ``math`` whose every operation (division, floor, the
+    integer-valued product and the difference) is exact or correctly
+    rounded, so it returns the bits of the array path.
     """
+    if type(x) is float and math.isfinite(x):
+        y = x / math.pi
+        k = math.floor(abs(y) + 0.5)
+        return x - math.pi * (-k if y < 0.0 else k)
     y = np.asarray(x, dtype=float) / np.pi
     r = np.sign(y) * np.floor(np.abs(y) + 0.5)
     out = np.asarray(x, dtype=float) - np.pi * r
@@ -230,9 +237,12 @@ def run_qisac(
     from .montecarlo import score_ber  # deferred: montecarlo uses this module
 
     psi = canonical_phase(config.psi0)
+    lam, eps, refresh = config.lam, config.eps, config.block_refresh
+    em_cfg = config.em
+    em_eps, em_lmax = em_cfg.eps, em_cfg.l_max
+    chan = params.E, params.eta, params.Na
     block = None
     block_psi = 0.0
-    em_cfg = config.em
 
     theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l = [], [], [], [], [], [], []
     margin_l, adopt_l = [], []
@@ -247,26 +257,27 @@ def run_qisac(
 
     try:
         for t in range(config.t_max):
-            if block is None or config.block_refresh:
+            if block is None or refresh:
                 block = block_source(psi, t)
                 block_psi = psi
+                n = block.n
             if fcm is None:
-                fcm = fc_max(params, block.n)
+                fcm = fc_max(params, n)
                 gamma = config.gamma_min * fcm if config.gamma_relative else config.gamma_min
 
             # the block is always interpreted at the LO phase it was measured
             # at; with block_refresh off that phase stays psi0 while psi retunes
             res = run_em(block, params, block_psi, em_cfg)
-            theta_hat = res.theta_hat
+            theta_hat, s_hat = res.theta_hat, res.s_hat
+            del res   # its lazy responsibilities would keep an N-array alive to the next block
             margin = math.nan
             if anchor is not None and anchor is not block:
                 theta_hat, margin = _resolve_reflection(
                     theta_hat, block_psi, anchor_abs, anchor_sum, anchor_psi, params
                 )
-            s_hat = res.s_hat
-            em_cfg = replace(em_cfg, init_theta=theta_hat)
+            em_cfg = EmConfig(em_eps, em_lmax, theta_hat)
 
-            fc = fisher_symbol(replace(params, theta=theta_hat), psi, n=block.n).block
+            fc = fisher_symbol(ChannelParams(*chan, theta_hat), psi, n=n).block
             ber_emp, flipped = score_ber(s_hat, block.s_true)
             kind, psi_tar = select_target(fc, gamma, theta_hat)
 
@@ -281,14 +292,14 @@ def run_qisac(
             adopt_l.append(margin > _FLIP_EVIDENCE)
 
             dpsi = wrap_pi(psi_tar - psi)
-            psi = update_psi(psi, psi_tar, config.lam)
+            psi = update_psi(psi, psi_tar, lam)
             if anchor is None or abs(math.sin(2.0 * (block_psi - psi))) > abs(
                 math.sin(2.0 * (anchor_psi - psi))
             ):
                 anchor, anchor_psi = block, block_psi
                 anchor_abs = np.abs(block.x)
                 anchor_sum = float(anchor_abs.sum())
-            if abs(dpsi) < config.eps:
+            if abs(dpsi) < eps:
                 break
     except QisacError as err:
         err.iteration = t
@@ -303,7 +314,7 @@ def run_qisac(
         target=targ_l,
         flipped=np.array(flip_l, dtype=bool),
         theta_true=params.theta,
-        n_block=0 if block is None else block.n,
+        n_block=0 if block is None else n,
         fc_max=float(fcm if fcm is not None else 0.0),
         gamma_min=float(gamma if gamma is not None else 0.0),
         theta_final=float(theta_hat if theta_hat is not None else 0.0),

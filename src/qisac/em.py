@@ -341,18 +341,21 @@ def run_em(
     # to (the caller resolves the ambiguity).  With antipodal means
     # gamma_0 = expit(z) and gamma_1 = expit(-z), z = 2*mu*x/s2, so the
     # argmax is label 1 exactly where expit(-z) > expit(z): wherever z < 0,
-    # except for |z| so small that both round to the same value, which is
-    # decided by the responsibilities themselves.  expit is monotone, so the
-    # largest |gamma_0 - 1/2| sits at the extreme z.
+    # except for |z| < _TIE_BAND, where both may round to the same value and
+    # the responsibilities themselves decide.  expit is monotone, so the
+    # largest |gamma_0 - 1/2| sits at the extreme z, and |z| >= 1 there puts
+    # it beyond expit(1) - 1/2 > 0.23, far from flat.  |z| goes to the last
+    # scratch of the statistic pass.
     theta_hat = canonical_phase(theta)
     z = x * (2.0 * a * math.cos(theta - psi) / sigma2)
-    neg = z < 0.0
-    s_hat = neg.astype(np.int64)
-    tie = np.flatnonzero(neg & (z > -_TIE_BAND))
-    if tie.size:
+    s_hat = (z < 0.0).astype(np.int64)
+    np.abs(z, out=t)
+    if t.min() < _TIE_BAND:
+        tie = np.flatnonzero((z < 0.0) & (z > -_TIE_BAND))
         zt = z[tie]
         s_hat[tie] = expit(-zt) > expit(zt)
-    flat = bool(max(abs(expit(z.max()) - 0.5), abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
+    flat = bool(t.max() < 1.0 and max(abs(expit(z.max()) - 0.5),
+                                      abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
     return EmResult(
         theta_hat=theta_hat,
         responsibilities=lambda: np.column_stack([expit(z), expit(-z)]),

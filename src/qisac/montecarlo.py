@@ -16,7 +16,7 @@ import numpy as np
 from .analytics import ParetoPoint, fc_max, pareto_known_theta
 from .controller import AlgoConfig, RunTrace, run_qisac
 from .errors import QisacError
-from .physics import ChannelParams, sample_block, trial_seed
+from .physics import BlockSeed, ChannelParams, block_seeds, sample_block, trial_seed
 
 __all__ = [
     "ExperimentSpec",
@@ -35,6 +35,10 @@ log = logging.getLogger(__name__)
 
 # Fraction of the trace treated as "steady state" when reading off tails.
 _STEADY_FRAC = 0.2
+# Block seeds a trial derives at a time.  They are derived as the trial
+# reaches them, since eps > 0 may stop it long before t_max and a reused
+# block needs one seed.
+_SEED_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,10 @@ def score_ber(s_hat, s_true) -> tuple[float, bool]:
     symbol with its complement; min(e, 1-e) scores the better labeling and
     the flag reports whether the flip was applied.
     """
-    s_hat = np.asarray(s_hat)
-    s_true = np.asarray(s_true)
+    if not isinstance(s_hat, np.ndarray):
+        s_hat = np.asarray(s_hat)
+    if not isinstance(s_true, np.ndarray):
+        s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape:
         raise ValueError(f"length mismatch: {s_hat.shape} vs {s_true.shape}")
     if s_hat.size == 0:
@@ -172,9 +178,12 @@ def steady_mean(values: np.ndarray, length: int | None = None) -> float:
 
 def _single_trial(spec: ExperimentSpec, index: int) -> RunTrace:
     seed_t = trial_seed(spec.seed, index)
+    seeds: list[BlockSeed] = []   # seeds[t] keys block t as trial_seed(seed_t, t)
 
     def source(psi: float, t: int):
-        return sample_block(spec.params, psi, spec.n_block, trial_seed(seed_t, t))
+        while len(seeds) <= t:
+            seeds.extend(block_seeds(seed_t, len(seeds), _SEED_CHUNK))
+        return sample_block(spec.params, psi, spec.n_block, seeds[t])
 
     return run_qisac(source, spec.params, spec.algo)
 

@@ -12,24 +12,29 @@ Gaussian,
 
 so every statistic of the link depends on ``(theta, psi)`` only through the
 effective offset ``phi = theta - psi``.  This module holds the parameter
-container, the mean/derivative formulas, a bit-reproducible block sampler,
-the overflow-safe logistic shared by EM and the Fisher score, and the one
-reduction order (:func:`dot`) of every float64 inner product in the package.
+container, the mean/derivative formulas, a bit-reproducible block sampler
+with the per-trial derivation of its seeds, the overflow-safe logistic
+shared by EM and the Fisher score, and the one reduction order (:func:`dot`)
+of every float64 inner product in the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SFC64, Generator
+from numpy.random import SFC64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
+    "BlockSeed",
     "ChannelParams",
     "ObservationBlock",
     "canonical_phase",
     "block_means",
     "block_mean_derivs",
+    "block_seeds",
     "dot",
     "sample_block",
     "trial_seed",
@@ -69,7 +74,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("E", "eta", "Na", "theta"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.E > 0:
             raise ValueError(f"E must be positive, got {self.E}")
@@ -80,7 +85,7 @@ class ChannelParams:
 
     def amplitude(self) -> float:
         """Signal amplitude A = sqrt(2 * eta * E)."""
-        return float(np.sqrt(2.0 * self.eta * self.E))
+        return math.sqrt(2.0 * self.eta * self.E)
 
     def noise_var(self) -> float:
         """Homodyne outcome variance sigma^2 = Na + 1/2."""
@@ -147,6 +152,94 @@ def trial_seed(master_seed: int, index: int) -> int:
     return (int(master_seed) & _MASK64) ^ _splitmix64(int(index))
 
 
+class BlockSeed(ISeedSequence):
+    """A 64-bit block key together with the SFC64 seed words numpy derives from it.
+
+    ``SFC64(BlockSeed(key, words))`` has the state of ``SFC64(key)``, where
+    ``words`` is ``SeedSequence(key).generate_state(3, np.uint64)``, but skips
+    that hash; :func:`block_seeds` computes the words of many keys at once.
+    """
+
+    __slots__ = ("key", "_words")
+
+    def __init__(self, key: int, words: np.ndarray):
+        self.key = key
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 3 and dtype is np.uint64:
+            return self._words
+        return SeedSequence(self.key).generate_state(n_words, dtype)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its multipliers
+# and the start values of its two hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) pairs, as uint32 columns, of ``count`` successive hash steps.
+
+    The hash constant advances by the same product whatever the data, so
+    every step's constants are known in advance.
+    """
+    xs, ms = [], []
+    for _ in range(count):
+        xs.append(init)
+        init = init * mult & _MASK32
+        ms.append(init)
+    return np.array(xs, np.uint32)[:, None], np.array(ms, np.uint32)[:, None]
+
+
+_POOL_X, _POOL_M = _hash_steps(_INIT_A, _MULT_A, 16)   # 4 to fill the pool, 12 to mix it
+_DRAW_X, _DRAW_M = _hash_steps(_INIT_B, _MULT_B, 6)    # 6 words drawn from the pool
+
+
+def _hashmix(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    v = (v ^ x) * m
+    return v ^ (v >> 16)
+
+
+def _seed_words(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(k).generate_state(3, np.uint64)`` for each uint64 key k, as (len, 3).
+
+    numpy's hash with one uint32 lane per key: the key's entropy words (low,
+    high; a key below 2**32 has the high word 0, as numpy pads a short key)
+    and two zero words fill a pool of four, each pool word is mixed into the
+    other three, and six words are drawn from the pool and read as
+    little-endian pairs.
+    """
+    pool = np.zeros((4, len(keys)), np.uint32)
+    pool[0] = keys & _MASK32
+    pool[1] = keys >> 32
+    pool = _hashmix(pool, _POOL_X[:4], _POOL_M[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        v = pool[dst] * _MIX_L - _hashmix(pool[src], _POOL_X[k:k + 3], _POOL_M[k:k + 3]) * _MIX_R
+        pool[dst] = v ^ (v >> 16)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1]], _DRAW_X, _DRAW_M)
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+def block_seeds(master_seed: int, start: int, count: int) -> list[BlockSeed]:
+    """The :class:`BlockSeed` of ``trial_seed(master_seed, t)`` for t in [start, start + count).
+
+    Keys and seed words are computed for all ``count`` indices in one
+    vectorised pass, far cheaper per key than numpy's own hash.
+    """
+    if start < 0 or count < 0:
+        raise ValueError("start and count must be non-negative")
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    keys = _splitmix64(idx) ^ np.uint64(int(master_seed) & _MASK64)
+    words = _seed_words(keys)
+    words.flags.writeable = False
+    return [BlockSeed(k, w) for k, w in zip(keys.tolist(), words)]
+
+
 def expit(z):
     """Elementwise logistic 1/(1 + e^-z), exponent clipped at 700 so e^-z never overflows."""
     return 1.0 / (1.0 + np.exp(np.minimum(-z, 700.0)))
@@ -165,7 +258,9 @@ def dot(a, b, out=None):
     return np.add.reduce(np.multiply(a, b, out=out), axis=-1)
 
 
-def sample_block(params: ChannelParams, psi: float, n: int, seed: int) -> ObservationBlock:
+def sample_block(
+    params: ChannelParams, psi: float, n: int, seed: int | BlockSeed
+) -> ObservationBlock:
     """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
 
     Symbols are equiprobable on {0, 1}. Outcomes are Gaussian with the
@@ -175,15 +270,20 @@ def sample_block(params: ChannelParams, psi: float, n: int, seed: int) -> Observ
     host, are the symbols; the same generator then draws the noise.  A block
     is therefore a pure function of (params, psi, n, seed): same inputs,
     bit-identical outputs within one numpy version, and distinct seeds give
-    independent streams.
+    independent streams.  ``seed`` may also be a :class:`BlockSeed`, whose
+    precomputed words key the generator exactly as its ``key`` would; the
+    block then equals the one drawn with that key, ``seed`` field included.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    key = int(seed) & _MASK64
-    bits = SFC64(key)
+    if isinstance(seed, BlockSeed):
+        key = seed.key
+    else:
+        key = seed = int(seed) & _MASK64
+    bits = SFC64(seed)
     words = bits.random_raw(-(-n // 64)).astype("<u8", copy=False)
     s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(np.int64)
     x = Generator(bits).standard_normal(n)
-    x *= np.sqrt(params.noise_var())
+    x *= math.sqrt(params.noise_var())
     x += block_means(params, psi).take(s)
     return ObservationBlock(x=x, s_true=s, seed=key)

@@ -2,7 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from qisac import analytics, cli, controller, em
+from qisac import analytics, cli, controller, em, montecarlo, physics
 from qisac.analytics import _fisher, fisher_symbol
 from qisac.cli import _write_csv
 
@@ -34,7 +34,8 @@ def test_bench_layers_smoke(tmp_path, capsys):
         # reflection margin per counted iteration
         assert calls == {"sample_block": 1.0, "run_em": 1.0, "reflection_margin": 1.0,
                          "fisher_symbol": 1.0}
-    # the controller's names are restored
+    # the trial's names are restored
+    assert montecarlo.sample_block is physics.sample_block
     assert controller.run_em is em.run_em
     assert controller.reflection_margin is em.reflection_margin
     assert controller.fisher_symbol is fisher_symbol

@@ -60,6 +60,24 @@ def test_wrap_pi_range_and_array():
     assert np.allclose(np.cos(2 * v), np.cos(2 * w), atol=1e-9)
 
 
+def test_wrap_pi_scalar_path_matches_array_path_bit_for_bit():
+    # a float takes the math path; it must return the bits of the array path,
+    # signed zeros, half-turn ties and their one-ulp neighbours included
+    ties = [k * math.pi / 2 for k in range(-8, 9)]
+    values = [0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308,
+              -1e-310, 1.7976931348623157e308]
+    values += ties + [math.nextafter(v, d) for v in ties for d in (-math.inf, math.inf)]
+    values += np.random.default_rng(3).uniform(-50.0, 50.0, 10_000).tolist()
+    scalar = np.array([wrap_pi(v) for v in values])
+    assert all(type(wrap_pi(v)) is float for v in values[:20])
+    assert scalar.tobytes() == wrap_pi(np.array(values)).tobytes()
+    # non-finite input keeps its result: NaN, with numpy's warning for +-inf
+    assert math.isnan(wrap_pi(math.nan))
+    for v in (math.inf, -math.inf):
+        with pytest.warns(RuntimeWarning):
+            assert math.isnan(wrap_pi(v))
+
+
 # ------------------------------------------------------------- target select
 
 def test_select_target_feasible_tracks_estimate():

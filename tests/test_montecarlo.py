@@ -14,7 +14,9 @@ from qisac import (
     QisacError,
     ber_theory,
     run_convergence_experiment,
+    run_qisac,
     run_tradeoff_sweep,
+    sample_block,
     score_ber,
     steady_window,
     trial_seed,
@@ -139,15 +141,28 @@ def test_convergence_deterministic_rerun(params_common):
 
 def test_trial_trace_depends_only_on_its_index(params_common):
     # a trial run alone, with the trials visited in reverse order, gives the
-    # trace it has inside the experiment: swapping trial order changes nothing
-    spec = _spec(params_common, trials=4, t_max=10)
+    # trace it has inside the experiment: swapping trial order changes nothing.
+    # The trial's seeds are derived in chunks as it advances; a reference run
+    # that keys every block plainly as trial_seed(trial_seed(seed, i), t)
+    # gives the same trace, also for trials that stop early (eps > 0) before
+    # or after the end of the first chunk.
+    spec = _spec(params_common, trials=4, t_max=300, lam=0.01, eps=0.02)
     res = run_convergence_experiment(spec)
     assert len(res.traces) == spec.trials
+    lengths = [len(tr) for tr in res.traces]
+    assert min(lengths) < mc._SEED_CHUNK < max(lengths) < spec.algo.t_max
     for i in reversed(range(spec.trials)):
+        seed_t = trial_seed(spec.seed, i)
+
+        def plain(psi, t):
+            return sample_block(spec.params, psi, spec.n_block, trial_seed(seed_t, t))
+
         alone = mc._single_trial(spec, i)
+        reference = run_qisac(plain, spec.params, spec.algo)
         for name in ("psi", "theta_hat", "ber_emp", "reflect_margin"):
-            assert np.array_equal(getattr(res.traces[i], name), getattr(alone, name),
-                                  equal_nan=True), (i, name)
+            for other in (alone, reference):
+                assert np.array_equal(getattr(res.traces[i], name), getattr(other, name),
+                                      equal_nan=True), (i, name)
 
 
 def test_convergence_trials_differ(params_common):

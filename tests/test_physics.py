@@ -12,7 +12,7 @@ from qisac import (
     sample_block,
     trial_seed,
 )
-from qisac.physics import dot
+from qisac.physics import BlockSeed, _seed_words, block_seeds, dot
 
 
 def test_canonical_phase_half_open_contract():
@@ -203,3 +203,31 @@ def test_trial_seed_blocks_independent():
     b1 = sample_block(p, 0.0, 100, trial_seed(5, 0))
     b2 = sample_block(p, 0.0, 100, trial_seed(5, 1))
     assert not np.array_equal(b1.x, b2.x)
+
+
+def test_precomputed_block_seeds_match_numpy_seeding():
+    # the vectorised seed hash reproduces SeedSequence(key).generate_state(3,
+    # uint64), so SFC64 keyed by a BlockSeed starts in the state SFC64(key)
+    # does, for random keys and for the edges of numpy's one- and two-word keys
+    rng = np.random.default_rng(2024)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    keys = np.concatenate([rng.integers(0, 2**64 - 1, 5000, dtype=np.uint64, endpoint=True),
+                           np.array(edges, dtype=np.uint64)])
+    words = _seed_words(keys)
+    for key, w in zip(keys.tolist(), words):
+        seeded = np.random.SFC64(BlockSeed(key, w)).state
+        plain = np.random.SFC64(key).state
+        assert seeded["state"]["state"].tolist() == plain["state"]["state"].tolist(), key
+
+    # block_seeds keys block t of a trial as trial_seed(master, t), from any start
+    p = ChannelParams(10.0, 0.8, 3.0, theta=0.3)
+    seeds = block_seeds(-7, 5, 20)
+    assert [s.key for s in seeds] == [trial_seed(-7, t) for t in range(5, 25)]
+    for s in seeds[:4]:
+        by_seed = sample_block(p, 0.2, 300, s)
+        by_key = sample_block(p, 0.2, 300, s.key)
+        assert by_seed.x.tobytes() == by_key.x.tobytes()
+        assert by_seed.s_true.tobytes() == by_key.s_true.tobytes()
+        assert by_seed.seed == by_key.seed == s.key and type(by_seed.seed) is int
+    with pytest.raises(ValueError):
+        block_seeds(1, -1, 4)

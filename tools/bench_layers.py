@@ -5,20 +5,23 @@ Usage, from the repository root:
     PYTHONPATH=src python3 tools/bench_layers.py --tag change
     PYTHONPATH=src python3 tools/bench_layers.py --tag smoke --n 200 --iters 5 --repeats 1
 
-For each block length N it runs one trial of ``run_qisac`` on the channel of
-the benchmark's ``loop_n1k`` workload (E=10, eta=0.8, Na=3, theta=45 deg,
-gamma = 0.6 * F_max, lambda=0.01, eps=0, psi0=90 deg, blocks from
-``sample_block`` seeded as ``qisac run`` seeds them).  The names the
-controller calls are wrapped with timers and minor-page-fault counters
+For each block length N it runs trial 0 of an experiment seeded with
+``--seed`` through the program's own trial path (``montecarlo._single_trial``,
+as ``qisac run`` runs each trial) on the channel of the benchmark's
+``loop_n1k`` workload (E=10, eta=0.8, Na=3, theta=45 deg, gamma = 0.6 * F_max,
+lambda=0.01, eps=0, psi0=90 deg).  The names the trial calls are wrapped in
+place with timers and minor-page-fault counters
 (``getrusage(RUSAGE_SELF).ru_minflt``, this process only):
 
-- ``sample_block``   drawing the block (the block source),
+- ``sample_block``   drawing the block (``qisac.montecarlo.sample_block``,
+  called by the trial's block source once per iteration),
 - ``run_em``         EM on the block,
 - ``reflection_margin`` reflection scoring against the held anchor block
   (``qisac.controller.reflection_margin``, one call per iteration),
 - ``fisher_symbol``  the block Fisher information,
 - ``rest``           what the whole iteration spends outside those calls,
-- ``total``          the whole iteration, block source to block source.
+  the trial's derivation of its block seeds included,
+- ``total``          the whole iteration, block draw to block draw.
 
 The first iteration, which pays the one-time ``fc_max``, is not counted.  Each
 N runs ``--repeats`` times and the run with the smallest total is reported,
@@ -77,13 +80,15 @@ from pathlib import Path
 import numpy as np
 
 import qisac
-from qisac import analytics, cli, controller
-from qisac.controller import AlgoConfig, run_qisac
-from qisac.physics import ChannelParams, sample_block, trial_seed
+from qisac import analytics, cli, controller, montecarlo
+from qisac.controller import AlgoConfig
+from qisac.montecarlo import ExperimentSpec
+from qisac.physics import ChannelParams
 
 LAYERS = ("sample_block", "run_em", "reflection_margin", "fisher_symbol")
-# the layers qisac.controller calls by module-level name, wrapped in place
-SEAMS = ("run_em", "reflection_margin", "fisher_symbol")
+# the layers the trial calls by module-level name, wrapped in place
+SEAMS = ((montecarlo, "sample_block"), (controller, "run_em"),
+         (controller, "reflection_margin"), (controller, "fisher_symbol"))
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
 CHANNEL_CACHES = ("_fisher_peak",)   # caches keyed by (A, sigma^2)
 PARETO_POINTS = 21
@@ -98,14 +103,17 @@ class _Meter:
     """Per-layer time and minor faults, counted from the second iteration on."""
 
     def __init__(self):
-        self.t = -1
-        self.marks: list[tuple[float, int]] = []   # (time, faults) at each block source call
+        self.t = -1                                # iteration of the latest block draw
+        self.marks: list[tuple[float, int]] = []   # (time, faults) at each block draw
         self.us = dict.fromkeys(LAYERS, 0.0)
         self.faults = dict.fromkeys(LAYERS, 0)
         self.calls = dict.fromkeys(LAYERS, 0)
 
     def wrap(self, name: str, fn):
         def timed(*args, **kwargs):
+            if name == "sample_block":   # one draw opens each iteration
+                self.t += 1
+                self.marks.append((time.perf_counter(), _minflt()))
             f0, t0 = _minflt(), time.perf_counter()
             out = fn(*args, **kwargs)
             t1, f1 = time.perf_counter(), _minflt()
@@ -119,27 +127,20 @@ class _Meter:
 
 
 def measure(n: int, iters: int, seed: int) -> dict:
-    """One trial of ``iters`` counted iterations at block length ``n``."""
+    """Trial 0 of an experiment seeded with ``seed``, ``iters`` counted iterations at length ``n``."""
     meter = _Meter()
-    draw = meter.wrap("sample_block", sample_block)
-    seed_t = trial_seed(seed, 0)    # trial 0 of an experiment seeded with ``seed``
-
-    def source(psi: float, t: int):
-        meter.t = t
-        meter.marks.append((time.perf_counter(), _minflt()))
-        return draw(PARAMS, psi, n, trial_seed(seed_t, t))
-
-    cfg = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.01, eps=0.0,
-                     t_max=iters + 1, psi0=math.radians(90.0))
-    saved = {name: getattr(controller, name) for name in SEAMS}
+    algo = AlgoConfig(gamma_min=0.6, gamma_relative=True, lam=0.01, eps=0.0,
+                      t_max=iters + 1, psi0=math.radians(90.0))
+    spec = ExperimentSpec(params=PARAMS, algo=algo, n_block=n, trials=1, seed=seed)
+    saved = [(mod, name, getattr(mod, name)) for mod, name in SEAMS]
     try:
-        for name, fn in saved.items():
-            setattr(controller, name, meter.wrap(name, fn))
-        run_qisac(source, PARAMS, cfg)
+        for mod, name, fn in saved:
+            setattr(mod, name, meter.wrap(name, fn))
+        montecarlo._single_trial(spec, 0)
         end = (time.perf_counter(), _minflt())
     finally:
-        for name, fn in saved.items():
-            setattr(controller, name, fn)
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
 
     (t1, f1), (t2, f2) = meter.marks[1], end
     us = {k: v / iters for k, v in meter.us.items()}
