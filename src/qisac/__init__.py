@@ -20,6 +20,7 @@ from .analytics import (
     fisher_high_snr,
     fisher_symbol,
     fisher_symbol_mc,
+    offset_table,
     optimal_angles,
     pareto_known_theta,
     q_function,
@@ -74,6 +75,7 @@ __all__ = [
     "fisher_symbol_mc",
     "m_step",
     "m_step_objective",
+    "offset_table",
     "optimal_angles",
     "pareto_known_theta",
     "q_function",

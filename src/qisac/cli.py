@@ -28,7 +28,6 @@ environment variable, else 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,14 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import (
-    ber_theory,
-    fc_max,
-    fisher_argmax,
-    fisher_high_snr,
-    fisher_symbol,
-    pareto_known_theta,
-)
+from .analytics import fc_max, fisher_argmax, offset_table, pareto_known_theta
 from .controller import AlgoConfig
 from .em import EmConfig
 from .errors import ConfigError, QisacError
@@ -71,17 +63,23 @@ _DEFAULTS_ALGO = {
 _DEFAULT_TRIALS = {"run": 50, "sweep": 200}
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows as CSV: floats to 17 significant digits, other values by str().
+
+    The values are numbers and plain words (the ``com``/``sen`` target),
+    none of which CSV quotes, so each row is one template, made once per
+    sequence of value types, filled in one step.
+    """
+    templates = {}
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(
+                    "%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+            fh.write(template % tuple(row))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -278,13 +276,11 @@ def cmd_analytics(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     # offset phi on the theta = 0 channel is the LO phase -phi (0 - (-phi) == phi exactly)
-    rows = []
-    for pd in np.linspace(0.0, 180.0, args.grid).tolist():
-        psi = -math.radians(pd)
-        rows.append((pd, ber_theory(params, psi), fisher_symbol(params, psi).per_symbol,
-                     fisher_high_snr(params, psi)))
+    phi_deg = np.linspace(0.0, 180.0, args.grid).tolist()
+    ber, fisher, high_snr = offset_table(params, [-math.radians(pd) for pd in phi_deg])
     _write_csv(out / "analytics_grid.csv",
-               ["phi_deg", "ber_theory", "fisher", "fisher_high_snr"], rows)
+               ["phi_deg", "ber_theory", "fisher", "fisher_high_snr"],
+               zip(phi_deg, ber.tolist(), fisher.tolist(), high_snr.tolist()))
 
     phi_star, f_peak = fisher_argmax(params)
     fcm = fc_max(params, args.n)

@@ -8,7 +8,8 @@ so this failure is expected):
 
 * Test 7 (trade-off sweep) asserts the simulated steady-state error rate
   equals the known-phase frontier at the sweep endpoints within 3 standard
-  errors.  The retuning rule picks its target by thresholding the per-block
+  errors.  The suspected cause (ROADMAP direction 5; not settled): the
+  retuning rule picks its target by thresholding the per-block
   information estimate, and that estimate carries irreducible noise
   (one-over-root-NF at block size N), so the dwell between the two targets
   balances at a mean offset displaced from the frontier angle — about one
@@ -94,7 +95,8 @@ def test_criterion_2_quadrature_agrees_with_monte_carlo_score():
               f"diff={abs(rep.per_symbol - v) / se:.2f} se, "
               f"quad_err={rep.quad_error_est:.2e}")
         assert abs(rep.per_symbol - v) <= 3.0 * se
-        # self-convergence of the node-doubling loop, relative to its scale
+        # the error the shipped table of h is certified to (quadrature
+        # doubling and interpolation, analytics._H_RTOL), relative to its scale
         scale = max(abs(rep.per_symbol), 1e-12 * a * a / s2)
         assert rep.quad_error_est <= 1e-8 * scale
 
@@ -264,9 +266,10 @@ def test_criterion_6_closed_loop_convergence_regression():
 def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
     """BER rises with the information demand and larger blocks do no worse.
 
-    EXPECTED TO FAIL at the frontier-endpoint clause: the feasibility
-    dither settles a noise-floor distance away from the frontier angle.
-    See the module docstring.  The monotonicity and block-size checks run
+    EXPECTED TO FAIL at the frontier-endpoint clause, at both endpoints;
+    the suspected cause is that the feasibility dither settles a
+    noise-floor distance away from the frontier angle.  See the module
+    docstring.  The monotonicity and block-size checks run
     first and pass.
     """
     fracs = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -300,16 +303,17 @@ def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
         assert p50.ber_sim <= p5.ber_sim + slack
 
     # endpoints sit on the known-phase frontier, within noise
-    for p in (pts5k[0], pts5k[-1]):
-        gap = p.ber_sim - p.ber_theory
-        assert abs(gap) <= 3.0 * p.ber_stderr, (
-            f"frac={p.gamma_frac}: steady error rate differs from the frontier "
-            f"by {gap:+.2e} ({abs(gap) / p.ber_stderr:.1f} se) — the target "
-            f"selector thresholds a noisy per-block information estimate, so "
-            f"the loop dwells a noise-floor distance from the frontier angle; "
-            f"the displacement shrinks only with block size (expected failure, "
-            f"kept at stated strength)"
-        )
+    gaps = [(p.gamma_frac, p.ber_sim - p.ber_theory, p.ber_stderr) for p in (pts5k[0], pts5k[-1])]
+    failing = [f"frac={frac}: {gap:+.2e} ({abs(gap) / se:.1f} se)"
+               for frac, gap, se in gaps if not abs(gap) <= 3.0 * se]
+    assert not failing, (
+        "steady error rate differs from the known-phase frontier by more than "
+        "3 se at N=5000, " + "; ".join(failing) + ".  Suspected cause, not yet "
+        "settled (ROADMAP direction 5): the target selector thresholds a noisy "
+        "per-block information estimate, so the loop may dwell about one "
+        "estimate-sigma from the frontier angle (expected failure, kept at "
+        "stated strength)"
+    )
 
 
 def test_criterion_8_lo_update_contracts_geometrically(monkeypatch):

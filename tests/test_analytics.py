@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
+import h_reference
 import qisac.analytics as analytics
 from qisac import (
     ChannelParams,
@@ -16,6 +18,7 @@ from qisac import (
     fisher_high_snr,
     fisher_symbol,
     fisher_symbol_mc,
+    offset_table,
     optimal_angles,
     pareto_known_theta,
     q_function,
@@ -184,14 +187,14 @@ def test_fisher_quad_matches_two_component_reference():
             a, sigma2 = p.amplitude(), p.noise_var()
             floor = 1e-12 * a * a / sigma2
             for phi in phis:
-                got, nodes = analytics._fisher_quad(a, sigma2, float(phi), 4096)
+                got, nodes = h_reference.fisher_quad(a, sigma2, float(phi), 4096)
                 ref = _fisher_mixture_reference(a, sigma2, float(phi))
                 assert nodes == 4096
                 assert abs(got - ref) <= 1e-12 * max(ref, floor), (E, Na, phi, got, ref)
-            assert analytics._fisher_quad(a, sigma2, 0.0, 4096)[0] == 0.0
+            assert h_reference.fisher_quad(a, sigma2, 0.0, 4096)[0] == 0.0
             for phi in phis[1:48]:
-                f = analytics._fisher_quad(a, sigma2, float(phi), 4096)[0]
-                g = analytics._fisher_quad(a, sigma2, float(np.pi - phi), 4096)[0]
+                f = h_reference.fisher_quad(a, sigma2, float(phi), 4096)[0]
+                g = h_reference.fisher_quad(a, sigma2, float(np.pi - phi), 4096)[0]
                 assert abs(g - f) <= 1e-12 * max(f, floor), (E, Na, phi, f, g)
 
 
@@ -209,7 +212,7 @@ def test_fisher_symbol_matches_quadrature_on_reference_grid():
             assert fisher_symbol(p, 0.0).per_symbol == 0.0
             for phi in phis:
                 got = fisher_symbol(replace(p, theta=float(phi)), 0.0).per_symbol
-                ref, _ = analytics._fisher_quad(a, sigma2, float(phi), 4096)
+                ref, _ = h_reference.fisher_quad(a, sigma2, float(phi), 4096)
                 assert abs(got - ref) <= 1e-12 * max(ref, floor), (E, Na, phi, got, ref)
                 past_edge += a * abs(math.cos(phi)) / math.sqrt(sigma2) >= 9.0
     assert past_edge > 100
@@ -230,46 +233,91 @@ def test_fisher_rises_to_its_peak_at_every_snr():
 _TABLE_RTOL = 1e-12
 
 
-def _q_quad(r: float, nodes: int) -> float:
-    """q(r) = h(r) * (1 + r^2) / r^2 by quadrature, on the channel the table is defined on."""
-    h, _ = analytics._fisher_quad(math.hypot(1.0, r), 1.0, math.atan2(1.0, r), nodes)
-    return h * (1.0 + r * r) / (r * r)
-
-
 def test_shipped_table_of_h_is_certified():
-    # The one place the table of h is made: rebuild it from the reference
-    # quadrature at the Chebyshev points of the first kind and certify the
-    # shipped literals, each check at _TABLE_RTOL relative.  To remake the
-    # table, print repr() of ``rebuilt`` (highest degree first) and ``worst``.
-    coef = analytics._H_COEF
-    nodes, edge = analytics._H_NODES, analytics._R_EDGE
-    n = len(coef)
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    r_nodes = 0.5 * edge * (1.0 + np.cos(theta))
-    fine = np.array([_q_quad(r, nodes) for r in r_nodes.tolist()])
-    coarse = np.array([_q_quad(r, nodes // 2) for r in r_nodes.tolist()])
-    rebuilt = 2.0 / n * np.cos(np.outer(np.arange(n), theta)) @ fine
-    rebuilt[0] /= 2.0
-    rebuilt = rebuilt[::-1]
-
-    def rel(got, ref):
-        return np.abs(np.asarray(got) - ref) / np.abs(ref)
-
-    mids = (0.5 * (r_nodes[1:] + r_nodes[:-1])).tolist()
-    doubling = rel(coarse, fine)
-    at_nodes = rel([analytics._q_interp(r) for r in r_nodes.tolist()], fine)
-    at_mids = rel([analytics._q_interp(r) for r in mids], [_q_quad(r, nodes) for r in mids])
-    at_edge = rel(analytics._q_interp(edge), 1.0 + edge**-2)   # h(edge) = 1
-    for name, err in [("2048 vs 4096 nodes", doubling), ("nodes", at_nodes),
-                      ("midpoints", at_mids), ("edge", at_edge)]:
-        assert np.max(err) <= _TABLE_RTOL, (name, float(np.max(err)))
-    # the certificate FisherReport.quad_error_est reports holds, up to rounding
-    worst = max(float(np.max(e)) for e in (doubling, at_nodes, at_mids, at_edge))
+    # The table of h is made by tests/h_reference.py: each piece interpolates
+    # the reference quadrature at its Chebyshev points of the first kind.
+    # Every check of h_reference.certify holds at _TABLE_RTOL relative, and
+    # _H_RTOL states the worst of them.
+    errors = h_reference.certify()
+    for name, err in errors.items():
+        assert err <= _TABLE_RTOL, (name, err)
+    worst = max(errors.values())
     assert analytics._H_RTOL <= _TABLE_RTOL
     assert worst <= 1.01 * analytics._H_RTOL, worst
-    # and the literals are the table this build makes; rounding in the
-    # build moves a coefficient by ~2e-16, the smallest one is 1.2e-13
-    assert np.max(np.abs(rebuilt - coef)) <= 1e-14, np.max(np.abs(rebuilt - coef))
+    # and the literals are the table this build makes.  Powers of t amplify
+    # a rounding of the samples by up to ~1e-11, so the pieces are compared
+    # in the Chebyshev basis, where it moves a coefficient by ~1e-16
+    assert len(analytics._H_TABLE) == analytics._H_PIECES
+    assert {len(c) for c in analytics._H_TABLE} == {analytics._H_DEGREE + 1}
+    rebuilt = h_reference.chebyshev_table()
+    shipped = np.array([chebyshev.poly2cheb(c[::-1]) for c in analytics._H_TABLE])
+    assert np.max(np.abs(rebuilt - shipped)) <= 1e-14, np.max(np.abs(rebuilt - shipped))
+
+
+# Channels of the array-path checks: E from 1 to 1000 and Na from 0 to 3
+_ARRAY_CHANNELS = [ChannelParams(E=e, eta=0.8, Na=na, theta=0.0)
+                   for e, na in ((1.0, 0.0), (1.0, 3.0), (4.0, 1.0), (10.0, 3.0),
+                                 (31.6, 0.5), (100.0, 2.0), (300.0, 0.0), (1000.0, 0.0))]
+
+
+def _boundary_offsets(p: ChannelParams) -> list[float]:
+    """Offsets whose r = A|cos(phi)|/sigma lands on each piece boundary and on the edge.
+
+    With their one-ulp neighbours; channels whose r never reaches a boundary
+    contribute none.
+    """
+    rho = p.amplitude() / math.sqrt(p.noise_var())
+    width = analytics._R_EDGE / analytics._H_PIECES
+    out = []
+    for k in range(1, analytics._H_PIECES + 1):
+        if k * width < rho:
+            phi = math.acos(k * width / rho)
+            out += [np.nextafter(phi, 0.0), phi, np.nextafter(phi, 4.0)]
+    return [float(x) for x in out]
+
+
+def test_fisher_offsets_match_scalar_path_bit_for_bit():
+    rng = np.random.default_rng(17)
+    random = rng.uniform(-4.0, 4.0, 10**4).tolist()
+    crossed = 0
+    for p in _ARRAY_CHANNELS:
+        a, sigma2 = p.amplitude(), p.noise_var()
+        edges = _boundary_offsets(p)
+        crossed += len(edges)
+        phis = [0.0, np.pi / 2, np.pi, 1e-300, -1e-300] + edges + random
+        got = analytics._fisher_offsets(a, sigma2, phis)
+        want = [analytics._fisher(a, sigma2, phi) for phi in phis]
+        assert got.tobytes() == np.array(want).tobytes(), p
+        # and the public path: the LO phase -phi on the theta = 0 channel
+        ber, fisher, high_snr = offset_table(p, [-phi for phi in phis])
+        assert fisher.tobytes() == np.array(
+            [fisher_symbol(p, -phi).per_symbol for phi in phis]).tobytes(), p
+        assert ber.tobytes() == np.array([ber_theory(p, -phi) for phi in phis]).tobytes(), p
+        assert high_snr.tobytes() == np.array(
+            [fisher_high_snr(p, -phi) for phi in phis]).tobytes(), p
+    # the two largest channels reach r = _R_EDGE: all 36 boundaries, 3 offsets each
+    assert crossed >= 2 * 3 * analytics._H_PIECES
+
+
+def test_offset_table_at_a_nonzero_theta():
+    # the offsets are theta - psi, computed per LO phase as the scalar functions do
+    p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.7)
+    psis = np.linspace(-4.0, 4.0, 401).tolist()
+    ber, fisher, high_snr = offset_table(p, psis)
+    assert ber.tolist() == [ber_theory(p, psi) for psi in psis]
+    assert fisher.tolist() == [fisher_symbol(p, psi).per_symbol for psi in psis]
+    assert high_snr.tolist() == [fisher_high_snr(p, psi) for psi in psis]
+
+
+def test_array_scan_picks_the_scalar_scan_index():
+    # _fisher_peak scans 64 offsets on [0, pi/2] in one array pass
+    grid = np.linspace(0.0, np.pi / 2, 64).tolist()
+    for p in _ARRAY_CHANNELS:
+        a, sigma2 = p.amplitude(), p.noise_var()
+        scalar = int(np.argmax([analytics._fisher(a, sigma2, phi) for phi in grid]))
+        assert int(np.argmax(analytics._fisher_offsets(a, sigma2, grid))) == scalar, p
+        lo, hi = grid[max(scalar - 1, 0)], grid[min(scalar + 1, 63)]
+        assert lo <= analytics._fisher_peak(a, sigma2)[0] <= hi, p
 
 
 def test_fisher_rejects_bad_block_length(params_common):

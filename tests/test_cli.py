@@ -211,17 +211,77 @@ def test_analytics_outputs(tmp_path):
 
 
 def test_analytics_grid_matches_library_at_each_offset(tmp_path):
-    # the grid row at phi is the theta = phi channel read at LO phase 0
-    assert main(["--out-dir", str(tmp_path), "analytics", "--E", "3.7", "--Na", "0.4",
-                 "--grid", "37", "--n", "50", "--pareto-points", "2"]) == 0
-    rows = (tmp_path / "analytics_grid.csv").read_text().splitlines()[1:]
-    assert len(rows) == 37
-    for row in rows:
-        pd, ber, fisher, high_snr = (float(v) for v in row.split(","))
-        p = ChannelParams(E=3.7, eta=0.8, Na=0.4, theta=math.radians(pd))
-        assert ber == ber_theory(p, 0.0)
-        assert fisher == fisher_symbol(p, 0.0).per_symbol
-        assert high_snr == fisher_high_snr(p, 0.0)
+    # the grid row at phi is the theta = phi channel read at LO phase 0; at
+    # E = 1000, Na = 0 the grid crosses r = A|cos(phi)|/sigma = _R_EDGE,
+    # where the table of h gives way to h = 1
+    for E, Na, grid in ((3.7, 0.4, 37), (1000.0, 0.0, 181)):
+        out = tmp_path / f"E{E}"
+        assert main(["--out-dir", str(out), "analytics", "--E", repr(E), "--Na", repr(Na),
+                     "--grid", str(grid), "--n", "50", "--pareto-points", "2"]) == 0
+        rows = (out / "analytics_grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == grid
+        past_edge = 0
+        for row in rows:
+            pd, ber, fisher, high_snr = (float(v) for v in row.split(","))
+            p = ChannelParams(E=E, eta=0.8, Na=Na, theta=math.radians(pd))
+            assert ber == ber_theory(p, 0.0)
+            assert fisher == fisher_symbol(p, 0.0).per_symbol
+            assert high_snr == fisher_high_snr(p, 0.0)
+            past_edge += p.amplitude() * abs(math.cos(p.theta)) / math.sqrt(p.noise_var()) >= 9.0
+        assert (past_edge > 0) == (E == 1000.0)
+        assert past_edge < grid
+
+
+def _fmt(v) -> str:
+    """The CLI's CSV value format: 17 significant digits for floats, str() otherwise."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def _csv_reference(header, rows) -> str:
+    """What csv.writer writes for the header and each row's values through _fmt."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    import numpy as np
+
+    odd = [-0.0, 0.0, 1e-300, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 1e17]
+    rows = [(k, k % 2 == 0, "com" if k % 3 else "sen", odd[k % len(odd)],
+             np.float64(odd[(k + 3) % len(odd)]), float(k), -k)
+            for k in range(40)]
+    # value types that differ from row to row
+    rows += [(1.5, 2, "sen", np.float64(-0.0), True, np.int64(7), 0.25),
+             (np.float64(math.nan), np.int64(7), "com", 2.5, False, -np.inf, -1e-300)]
+    header = ["i", "flag", "target", "x", "y", "z", "w"]
+    cli._write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_reference(header, rows).encode()
+
+
+def test_write_csv_matches_csv_writer_on_run_rows(tmp_path, monkeypatch):
+    written = []
+    write_csv = cli._write_csv
+
+    def recording(path, header, rows):
+        rows = list(rows)
+        written.append((path, header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recording)
+    cfg = _write_doc(tmp_path, _base_doc())
+    assert main(["--out-dir", str(tmp_path / "r"), "run", cfg]) == 0
+    (path, header, rows), = written
+    assert len(header) == 11 and len(rows) > 20
+    assert {row[8] for row in rows} <= {"com", "sen"}
+    assert path.read_bytes() == _csv_reference(header, rows).encode()
 
 
 def test_analytics_rejects_bad_grid(tmp_path):
@@ -410,8 +470,8 @@ def test_console_script_runs():
 def test_cli_never_imports_scipy(tmp_path):
     # qisac runs on numpy and the standard library; scipy.special alone
     # would add hundreds of milliseconds to every process's start-up.  The
-    # table of h ships as constants, so no command reaches the reference
-    # quadrature (made to raise here) or loads numpy.polynomial for its rule
+    # table of h ships as constants and its reference quadrature lives with
+    # the tests (tests/h_reference.py), so no command loads numpy.polynomial
     doc = _base_doc(experiment={"n_block": 50, "trials": 1, "seed": 3},
                     sweep=[[0.2, 3.0, 50]])
     doc["algo"]["t_max"] = 5
@@ -424,9 +484,7 @@ def test_cli_never_imports_scipy(tmp_path):
         "import sys\n"
         "import qisac.analytics\n"
         "from qisac.cli import main\n"
-        "def quad(*args):\n"
-        "    raise RuntimeError('the reference quadrature ran')\n"
-        "qisac.analytics._fisher_quad = quad\n"
+        "assert not hasattr(qisac.analytics, '_fisher_quad')\n"
         f"assert main({analytics!r}) == 0 and main({run!r}) == 0 and main({sweep!r}) == 0\n"
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
@@ -489,7 +547,7 @@ def test_threads_default_to_serial():
     assert cli.build_parser().parse_args(["run", "c.json"]).threads == 1
 
 
-def test_float_formatting_roundtrip():
+def test_float_formatting_roundtrip(tmp_path):
     vals = [0.1, 1e-17, math.pi, 0.016254722322859766]
-    for v in vals:
-        assert float(cli._fmt(v)) == v
+    cli._write_csv(tmp_path / "v.csv", ["v"], [(v,) for v in vals])
+    assert [float(v) for v in (tmp_path / "v.csv").read_text().splitlines()[1:]] == vals
