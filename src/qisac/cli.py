@@ -28,6 +28,7 @@ environment variable, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -432,8 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.threads != 1:
             raise ConfigError(f"--threads accepts only 1 (trials run serially), got {args.threads}")

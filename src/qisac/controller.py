@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "wrap_pi",
     "select_target",
     "update_psi",
+    "qisac_steps",
     "run_qisac",
 ]
 
@@ -213,26 +214,21 @@ def _resolve_reflection(
     return (cand if margin > _FLIP_EVIDENCE else theta_hat), margin
 
 
-def run_qisac(
+def qisac_steps(
     block_source: BlockSource,
     params: ChannelParams,
     config: AlgoConfig,
-) -> RunTrace:
-    """Run the full sensing/communication control loop.
+) -> Generator[np.ndarray, None, RunTrace]:
+    """The control loop of :func:`run_qisac`, suspended between outer iterations.
 
-    ``block_source(psi, t)`` must return the observation block measured at
-    the CURRENT LO phase for outer iteration ``t``; with
-    config.block_refresh False it is invoked once and the block is reused.
-    EM warm-starts from the previous iteration's estimate after the first
-    pass.  Because one block determines the phase only up to reflection
-    about the LO phase (see _resolve_reflection), every estimate after the
-    first is scored against one held anchor block, which decides whether
-    to keep the estimate or adopt its reflection.  After each iteration the
-    current block replaces the anchor when its LO phase is farther from the
-    next one, |sin 2(psi_block - psi_next)| larger than the anchor's; its
-    |x| and their sum are computed then, once per anchor.
-    The Fisher information comes from a shipped table and cannot fail;
-    a QisacError propagates with its ``iteration`` set to the outer iteration.
+    Each ``next()`` runs one outer iteration and returns its hard decisions
+    ``s_hat``; the ``next()`` that runs the last iteration raises
+    StopIteration instead, whose ``value`` is the :class:`RunTrace` (with
+    that iteration's decisions as ``s_hat_final``).  A QisacError raised in
+    an iteration propagates from that ``next()`` with its ``iteration`` set.
+    While suspended the loop holds no block (except the one reused block
+    when ``block_refresh`` is off) and no decisions, only the anchor's |x|,
+    so many loops can advance in turn over shared draws.
     """
     from .montecarlo import score_ber  # deferred: montecarlo uses this module
 
@@ -243,23 +239,27 @@ def run_qisac(
     chan = params.E, params.eta, params.Na
     block = None
     block_psi = 0.0
+    block_t = 0   # iteration the current block was drawn at
+    n = 0
 
     theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l = [], [], [], [], [], [], []
     margin_l, adopt_l = [], []
-    fcm = None
-    gamma = None
-    theta_hat = None
-    s_hat = np.empty(0, dtype=np.int64)
-    anchor = None
+    fcm = gamma = None
+    decided: list[np.ndarray] = []   # the latest s_hat until a yield hands it out
+    anchor_t = -1   # iteration of the anchor's block; -1 while there is none
     anchor_psi = 0.0
     anchor_abs = np.empty(0)
     anchor_sum = 0.0
 
     try:
         for t in range(config.t_max):
-            if block is None or refresh:
+            if t:
+                if refresh:
+                    block = None
+                yield decided.pop()
+            if block is None:
                 block = block_source(psi, t)
-                block_psi = psi
+                block_psi, block_t = psi, t
                 n = block.n
             if fcm is None:
                 fcm = fc_max(params, n)
@@ -268,17 +268,18 @@ def run_qisac(
             # the block is always interpreted at the LO phase it was measured
             # at; with block_refresh off that phase stays psi0 while psi retunes
             res = run_em(block, params, block_psi, em_cfg)
-            theta_hat, s_hat = res.theta_hat, res.s_hat
+            theta_hat = res.theta_hat
+            decided.append(res.s_hat)
             del res   # its lazy responsibilities would keep an N-array alive to the next block
             margin = math.nan
-            if anchor is not None and anchor is not block:
+            if anchor_t >= 0 and anchor_t != block_t:
                 theta_hat, margin = _resolve_reflection(
                     theta_hat, block_psi, anchor_abs, anchor_sum, anchor_psi, params
                 )
             em_cfg = EmConfig(em_eps, em_lmax, theta_hat)
 
             fc = fisher_symbol(ChannelParams(*chan, theta_hat), psi, n=n).block
-            ber_emp, flipped = score_ber(s_hat, block.s_true)
+            ber_emp, flipped = score_ber(decided[0], block.s_true)
             kind, psi_tar = select_target(fc, gamma, theta_hat)
 
             theta_l.append(theta_hat)
@@ -293,10 +294,10 @@ def run_qisac(
 
             dpsi = wrap_pi(psi_tar - psi)
             psi = update_psi(psi, psi_tar, lam)
-            if anchor is None or abs(math.sin(2.0 * (block_psi - psi))) > abs(
+            if anchor_t < 0 or abs(math.sin(2.0 * (block_psi - psi))) > abs(
                 math.sin(2.0 * (anchor_psi - psi))
             ):
-                anchor, anchor_psi = block, block_psi
+                anchor_t, anchor_psi = block_t, block_psi
                 anchor_abs = np.abs(block.x)
                 anchor_sum = float(anchor_abs.sum())
             if abs(dpsi) < eps:
@@ -314,12 +315,43 @@ def run_qisac(
         target=targ_l,
         flipped=np.array(flip_l, dtype=bool),
         theta_true=params.theta,
-        n_block=0 if block is None else n,
-        fc_max=float(fcm if fcm is not None else 0.0),
-        gamma_min=float(gamma if gamma is not None else 0.0),
-        theta_final=float(theta_hat if theta_hat is not None else 0.0),
+        n_block=n,
+        fc_max=float(fcm),
+        gamma_min=float(gamma),
+        theta_final=float(theta_hat),
         psi_final=psi,
-        s_hat_final=s_hat,
+        s_hat_final=decided.pop(),
         reflect_margin=np.array(margin_l, dtype=float),
         reflection_adopted=np.array(adopt_l, dtype=bool),
     )
+
+
+def run_qisac(
+    block_source: BlockSource,
+    params: ChannelParams,
+    config: AlgoConfig,
+) -> RunTrace:
+    """Run the full sensing/communication control loop.
+
+    ``block_source(psi, t)`` must return the observation block measured at
+    the CURRENT LO phase for outer iteration ``t``; with
+    config.block_refresh False it is invoked once and the block is reused.
+    EM warm-starts from the previous iteration's estimate after the first
+    pass.  Because one block determines the phase only up to reflection
+    about the LO phase (see _resolve_reflection), every estimate after the
+    first is scored against one held anchor, which decides whether to keep
+    the estimate or adopt its reflection; a reused block is never scored
+    against itself.  After each iteration the current block becomes the
+    anchor when its LO phase is farther from the next one,
+    |sin 2(psi_block - psi_next)| larger than the anchor's; its |x| and
+    their sum are computed then, once per anchor, and are all that is kept
+    of it.  The Fisher information comes from a shipped table and cannot
+    fail; a QisacError propagates with its ``iteration`` set to the outer
+    iteration.  The loop itself is :func:`qisac_steps`, run to the end.
+    """
+    steps = qisac_steps(block_source, params, config)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value

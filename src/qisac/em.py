@@ -185,9 +185,12 @@ def loglik(
     )
 
 
-def _soft_sum(abs_x: np.ndarray, amu: float, sigma2: float) -> float:
-    """sum log1p(exp(-2*amu*|x|/sigma2)), the soft term of :func:`loglik`."""
-    t = np.multiply(abs_x, -2.0 * amu / sigma2)
+def _soft_sum(abs_x: np.ndarray, amu: float, sigma2: float, out: np.ndarray | None = None) -> float:
+    """sum log1p(exp(-2*amu*|x|/sigma2)), the soft term of :func:`loglik`.
+
+    ``out`` may name a scratch array of the shape of ``abs_x``.
+    """
+    t = np.multiply(abs_x, -2.0 * amu / sigma2, out=out)
     return float(np.log1p(np.exp(t, out=t), out=t).sum())
 
 
@@ -209,13 +212,15 @@ def reflection_margin(
 
         (m1 - m0) * (2*sum|x| - N*(m1 + m0)) / (2*s2),
 
-    so the margin costs two soft-term passes and no square.
+    so the margin costs two soft-term passes, which share one scratch, and
+    no square.
     """
     sigma2 = params.noise_var()
     a = params.amplitude()
     m0 = abs(a * math.cos(theta - psi))
     m1 = abs(a * math.cos(cand - psi))
-    soft = _soft_sum(abs_x, m1, sigma2) - _soft_sum(abs_x, m0, sigma2)
+    t = np.empty_like(abs_x)
+    soft = _soft_sum(abs_x, m1, sigma2, t) - _soft_sum(abs_x, m0, sigma2, t)
     return soft + (m1 - m0) * (2.0 * sum_abs_x - len(abs_x) * (m1 + m0)) / (2.0 * sigma2)
 
 
@@ -322,10 +327,11 @@ def run_em(
     theta = psi if config.init_theta is None else float(config.init_theta)
     thetas = []
     converged = False
+    t = np.empty_like(x)   # the one scratch of every pass
     for _ in range(config.l_max):
         # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
         mu = a * math.cos(theta - psi)
-        t = x * (mu / sigma2)
+        np.multiply(x, mu / sigma2, out=t)
         s = float(dot(np.tanh(t, out=t), x, out=t))
         theta_new = _m_step(s, block.n, a, psi, theta)
         thetas.append(theta_new)
@@ -344,11 +350,12 @@ def run_em(
     # except for |z| < _TIE_BAND, where both may round to the same value and
     # the responsibilities themselves decide.  expit is monotone, so the
     # largest |gamma_0 - 1/2| sits at the extreme z, and |z| >= 1 there puts
-    # it beyond expit(1) - 1/2 > 0.23, far from flat.  |z| goes to the last
-    # scratch of the statistic pass.
+    # it beyond expit(1) - 1/2 > 0.23, far from flat.  The comparison z < 0
+    # writes the int64 decisions directly, and |z| goes to the scratch.
     theta_hat = canonical_phase(theta)
     z = x * (2.0 * a * math.cos(theta - psi) / sigma2)
-    s_hat = (z < 0.0).astype(np.int64)
+    s_hat = np.empty(len(z), dtype=np.int64)
+    np.less(z, 0.0, out=s_hat)
     np.abs(z, out=t)
     if t.min() < _TIE_BAND:
         tie = np.flatnonzero((z < 0.0) & (z > -_TIE_BAND))

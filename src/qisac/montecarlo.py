@@ -3,6 +3,16 @@
 Trials run serially.  Each draws from its own RNG stream, derived from the
 master seed and its trial index, with per-iteration sub-streams for its
 blocks, so a trial's trace depends only on the spec and its index.
+
+The sweep points of one block length draw the same blocks in a trial: block
+t's symbols and unit normals depend only on (seed, trial, t, N), and only
+the noise scale and the symbol means differ between points.  So trial i of
+all those points runs in lockstep, one outer iteration of each in turn, and
+block t is drawn once and composed per point (common random numbers).  Each
+point's trace is bit-identical to that point run alone; the point estimates
+are correlated across gamma fractions (their differences are less noisy
+than independent runs would give), while each point's ``ber_stderr``, taken
+over its own independent trials, is unaffected.
 """
 
 from __future__ import annotations
@@ -10,13 +20,22 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from .analytics import ParetoPoint, fc_max, pareto_known_theta
-from .controller import AlgoConfig, RunTrace, run_qisac
+from .controller import AlgoConfig, RunTrace, qisac_steps
 from .errors import QisacError
-from .physics import BlockSeed, ChannelParams, block_seeds, sample_block, trial_seed
+from .physics import (
+    BlockDraw,
+    BlockSeed,
+    ChannelParams,
+    block_seeds,
+    draw_block,
+    sample_block,
+    trial_seed,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -176,16 +195,66 @@ def steady_mean(values: np.ndarray, length: int | None = None) -> float:
     return float(np.mean(values[steady_window(n)]))
 
 
-def _single_trial(spec: ExperimentSpec, index: int) -> RunTrace:
-    seed_t = trial_seed(spec.seed, index)
+def _lockstep(
+    specs: list[ExperimentSpec], index: int
+) -> Iterator[tuple[int, RunTrace | QisacError]]:
+    """Run trial ``index`` of every spec in lockstep; yield (k, trace or error) as each ends.
+
+    The specs share their seed and block length, so block t of the trial has
+    the same symbols and unit normals in each: the loops advance one outer
+    iteration at a time in turn, the first to reach iteration t draws its
+    block once into a one-slot cache keyed by t, and every loop composes its
+    own block from that draw through ``sample_block``, bit-identical to
+    drawing it alone.  A loop that raises QisacError ends there; the others
+    go on.
+    """
+    seed_t = trial_seed(specs[0].seed, index)
+    n = specs[0].n_block
     seeds: list[BlockSeed] = []   # seeds[t] keys block t as trial_seed(seed_t, t)
+    slot: list = [-1, None]       # (t, draw) of the latest block
 
-    def source(psi: float, t: int):
-        while len(seeds) <= t:
-            seeds.extend(block_seeds(seed_t, len(seeds), _SEED_CHUNK))
-        return sample_block(spec.params, psi, spec.n_block, seeds[t])
+    def shared(t: int) -> BlockDraw:
+        if slot[0] != t:
+            slot[1] = None   # drop the old draw before the next is made
+            while len(seeds) <= t:
+                seeds.extend(block_seeds(seed_t, len(seeds), _SEED_CHUNK))
+            slot[:] = t, draw_block(n, seeds[t])
+        return slot[1]
 
-    return run_qisac(source, spec.params, spec.algo)
+    def source_of(params: ChannelParams):
+        return lambda psi, t: sample_block(params, psi, n, shared(t))
+
+    loops = {k: qisac_steps(source_of(sp.params), sp.params, sp.algo)
+             for k, sp in enumerate(specs)}
+    while loops:
+        for k in list(loops):
+            try:
+                # the decisions a step returns live on until the next step
+                # has run: at large N they sit at the top of the heap, and
+                # freeing them at once would let malloc return the pages that
+                # every step then faults back in
+                decisions = next(loops[k])
+            except StopIteration as stop:
+                del loops[k]
+                yield k, stop.value
+            except QisacError as err:
+                del loops[k]
+                yield k, err
+
+
+def _single_trial(spec: ExperimentSpec, index: int) -> RunTrace:
+    ((_, out),) = _lockstep([spec], index)
+    if isinstance(out, QisacError):
+        raise out
+    return out
+
+
+def _failure(spec: ExperimentSpec, index: int, err: QisacError) -> tuple[int, str]:
+    """Log trial ``index``'s failure with its seed and iteration; return (index, message)."""
+    where = "" if err.iteration is None else f"iteration {err.iteration}: "
+    msg = f"{type(err).__name__}: {where}{err}"
+    log.warning("trial %d (seed %d) failed: %s", index, trial_seed(spec.seed, index), msg)
+    return index, msg
 
 
 def _run_trials(spec: ExperimentSpec) -> tuple[list[RunTrace], list[tuple[int, str]]]:
@@ -194,10 +263,7 @@ def _run_trials(spec: ExperimentSpec) -> tuple[list[RunTrace], list[tuple[int, s
         try:
             traces.append(_single_trial(spec, i))
         except QisacError as err:
-            where = "" if err.iteration is None else f"iteration {err.iteration}: "
-            msg = f"{type(err).__name__}: {where}{err}"
-            failures.append((i, msg))
-            log.warning("trial %d (seed %d) failed: %s", i, trial_seed(spec.seed, i), msg)
+            failures.append(_failure(spec, i, err))
     return traces, failures
 
 
@@ -230,32 +296,52 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
     configuration's Fisher maximum; each trial runs the control loop and
     contributes its steady-state (tail-averaged, ambiguity-resolved) BER.
     The known-theta frontier value is attached for reference.  Points whose
-    constraint cannot be met are marked infeasible and skipped.
+    constraint cannot be met are marked infeasible and skipped.  Trial i of
+    the feasible points with the same N runs in lockstep over shared block
+    draws (see the module docstring); a trial that fails is logged and left
+    out of its point alone.
     """
     if not spec.sweep:
         raise ValueError("sweep list is empty")
-    points: list[SweepPoint] = []
-    for gamma_frac, na, n in spec.sweep:
-        params_i = replace(spec.params, Na=na)
-        fcm = fc_max(params_i, n)
-        gamma = gamma_frac * fcm
+    points: list[SweepPoint | None] = []
+    refs: dict[int, ParetoPoint] = {}
+    groups: dict[int, list[tuple[int, ExperimentSpec]]] = {}   # by block length
+    for j, (gamma_frac, na, n) in enumerate(spec.sweep):
+        params_j = replace(spec.params, Na=na)
+        gamma = gamma_frac * fc_max(params_j, n)
         try:
-            ref: ParetoPoint = pareto_known_theta(params_i, n, gamma)
+            refs[j] = pareto_known_theta(params_j, n, gamma)
         except QisacError:
             points.append(SweepPoint(gamma_frac, na, n, float("nan"), float("nan"),
                                      float("nan"), float("nan"), False))
             continue
-        algo_i = replace(spec.algo, gamma_min=gamma, gamma_relative=False)
-        spec_i = replace(spec, params=params_i, algo=algo_i, n_block=n, sweep=None)
-        traces, failures = _run_trials(spec_i)
-        if not traces:
+        points.append(None)
+        algo_j = replace(spec.algo, gamma_min=gamma, gamma_relative=False)
+        groups.setdefault(n, []).append(
+            (j, replace(spec, params=params_j, algo=algo_j, n_block=n, sweep=None)))
+
+    bers: dict[int, list[float]] = {j: [] for j in refs}
+    failures: dict[int, list[tuple[int, str]]] = {j: [] for j in refs}
+    for group in groups.values():
+        specs = [sp for _, sp in group]
+        for i in range(spec.trials):
+            for k, out in _lockstep(specs, i):
+                j = group[k][0]
+                if isinstance(out, QisacError):
+                    failures[j].append(_failure(spec, i, out))
+                else:
+                    bers[j].append(steady_mean(out.ber_emp, len(out)))
+
+    for j, ref in refs.items():
+        gamma_frac, na, n = spec.sweep[j]
+        if not bers[j]:
             raise QisacError(
                 f"all trials failed at gamma_frac={gamma_frac}, Na={na}, N={n}: "
-                f"{failures[0][1]}"
+                f"{failures[j][0][1]}"
             )
-        per_trial = np.array([steady_mean(tr.ber_emp, len(tr)) for tr in traces])
+        per_trial = np.array(bers[j])
         stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
-        points.append(SweepPoint(
+        points[j] = SweepPoint(
             gamma_frac=float(gamma_frac),
             na=float(na),
             n=int(n),
@@ -264,5 +350,5 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
             ber_theory=ref.ber,
             phi_star=ref.phi_star,
             feasible=True,
-        ))
+        )
     return TradeoffCurve(points=points, params=spec.params, trials=spec.trials)

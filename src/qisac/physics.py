@@ -28,6 +28,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
+    "BlockDraw",
     "BlockSeed",
     "ChannelParams",
     "ObservationBlock",
@@ -36,6 +37,7 @@ __all__ = [
     "block_mean_derivs",
     "block_seeds",
     "dot",
+    "draw_block",
     "sample_block",
     "trial_seed",
 ]
@@ -258,21 +260,34 @@ def dot(a, b, out=None):
     return np.add.reduce(np.multiply(a, b, out=out), axis=-1)
 
 
-def sample_block(
-    params: ChannelParams, psi: float, n: int, seed: int | BlockSeed
-) -> ObservationBlock:
-    """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
+class BlockDraw:
+    """The parameter-free part of one block: its key, symbols and unit normals.
 
-    Symbols are equiprobable on {0, 1}. Outcomes are Gaussian with the
-    symbol-conditional mean and variance of the link.  One SFC64 generator
-    keyed by ``seed & (2**64 - 1)`` first yields ceil(n/64) raw 64-bit words,
-    whose bits, read least significant first from little-endian bytes on any
-    host, are the symbols; the same generator then draws the noise.  A block
-    is therefore a pure function of (params, psi, n, seed): same inputs,
-    bit-identical outputs within one numpy version, and distinct seeds give
-    independent streams.  ``seed`` may also be a :class:`BlockSeed`, whose
-    precomputed words key the generator exactly as its ``key`` would; the
-    block then equals the one drawn with that key, ``seed`` field included.
+    ``s_true`` (int64) and ``z`` (float64, standard normal) are read-only, so
+    one draw can back the blocks of several channels or LO phases at once
+    (see :func:`sample_block`) and none of them can alter the others.
+    """
+
+    __slots__ = ("key", "s_true", "z")
+
+    def __init__(self, key: int, s_true: np.ndarray, z: np.ndarray):
+        self.key = key
+        self.s_true = s_true
+        self.z = z
+
+    @property
+    def n(self) -> int:
+        return len(self.z)
+
+
+def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
+    """Draw the symbols and unit normals of a block of ``n`` outcomes.
+
+    One SFC64 generator keyed by ``seed & (2**64 - 1)`` first yields
+    ceil(n/64) raw 64-bit words, whose bits, read least significant first
+    from little-endian bytes on any host, are the symbols; the same generator
+    then draws n standard normals.  ``seed`` may also be a :class:`BlockSeed`,
+    whose precomputed words key the generator exactly as its ``key`` would.
     """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
@@ -283,7 +298,33 @@ def sample_block(
     bits = SFC64(seed)
     words = bits.random_raw(-(-n // 64)).astype("<u8", copy=False)
     s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(np.int64)
-    x = Generator(bits).standard_normal(n)
-    x *= math.sqrt(params.noise_var())
-    x += block_means(params, psi).take(s)
-    return ObservationBlock(x=x, s_true=s, seed=key)
+    z = Generator(bits).standard_normal(n)
+    s.flags.writeable = False
+    z.flags.writeable = False
+    return BlockDraw(key, s, z)
+
+
+def sample_block(
+    params: ChannelParams, psi: float, n: int, seed: int | BlockSeed | BlockDraw
+) -> ObservationBlock:
+    """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
+
+    Symbols are equiprobable on {0, 1}. Outcomes are Gaussian with the
+    symbol-conditional mean and variance of the link: the block is
+    ``x = z * sqrt(sigma^2) + mu(psi)[s]`` over the symbols ``s`` and unit
+    normals ``z`` of :func:`draw_block`.  A block is therefore a pure
+    function of (params, psi, n, seed): same inputs, bit-identical outputs
+    within one numpy version, and distinct seeds give independent streams.
+    ``seed`` may be an integer, a :class:`BlockSeed` (the block then equals
+    the one drawn with its key, ``seed`` field included) or a
+    :class:`BlockDraw` already drawn for length ``n``.  Blocks composed from
+    one draw share it: the sweep points of one trial draw block t once and
+    compose it per channel (common random numbers), and their ``s_true`` is
+    that draw's read-only symbol array.
+    """
+    draw = seed if isinstance(seed, BlockDraw) else draw_block(n, seed)
+    if draw.n != n:
+        raise ValueError(f"block length {n} does not match the draw's {draw.n}")
+    x = draw.z * math.sqrt(params.noise_var())
+    x += block_means(params, psi).take(draw.s_true)
+    return ObservationBlock(x=x, s_true=draw.s_true, seed=draw.key)

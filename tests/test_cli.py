@@ -547,6 +547,38 @@ def test_threads_default_to_serial():
     assert cli.build_parser().parse_args(["run", "c.json"]).threads == 1
 
 
+def test_main_builds_one_parser_and_calls_share_no_options(tmp_path, monkeypatch):
+    # main reuses one parser per process, yet an option given to one call
+    # does not reach the next; build_parser still returns a fresh parser
+    monkeypatch.delenv("QISAC_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        cfg = _write_doc(tmp_path, _base_doc())
+        assert main(["--seed", "99", "--out-dir", str(tmp_path / "a"), "run", cfg]) == 0
+        assert main(["run", cfg]) == 0
+        assert main(["analytics", "--grid", "7", "--pareto-points", "3"]) == 0
+        assert main(["--out-dir", str(tmp_path / "b"), "analytics"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert json.loads((tmp_path / "a" / "run_summary.json").read_text())["master_seed"] == 99
+    # the second run used the config's seed and the default output directory
+    assert json.loads((tmp_path / "run_summary.json").read_text())["master_seed"] == 5
+    grid = (tmp_path / "b" / "analytics_grid.csv").read_text().splitlines()
+    assert len(grid) == 1 + 181
+    assert len((tmp_path / "analytics_grid.csv").read_text().splitlines()) == 1 + 7
+    assert real() is not real()
+
+
 def test_float_formatting_roundtrip(tmp_path):
     vals = [0.1, 1e-17, math.pi, 0.016254722322859766]
     cli._write_csv(tmp_path / "v.csv", ["v"], [(v,) for v in vals])

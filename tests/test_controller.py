@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,50 @@ def test_run_qisac_block_refresh_flag(params_common):
     cfg = replace(cfg, block_refresh=True)
     run_qisac(src, params_common, cfg)
     assert calls == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("refresh", [True, False])
+def test_suspended_loop_holds_no_block_or_decisions(params_common, monkeypatch, refresh):
+    # between outer iterations the loop keeps only the anchor's |x|: every
+    # block is gone (but the one reused block when block_refresh is off), and
+    # so is every s_hat but the last, which becomes s_hat_final
+    blocks, decisions = [], []
+    real_em = controller.run_em
+
+    def source(psi, t):
+        blk = sample_block(params_common, psi, 300, seed=600 + t)
+        blocks.append(weakref.ref(blk))
+        return blk
+
+    def em(*args, **kwargs):
+        res = real_em(*args, **kwargs)
+        decisions.append(weakref.ref(res.s_hat))
+        return res
+
+    monkeypatch.setattr(controller, "run_em", em)
+    cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=6, psi0=0.5, block_refresh=refresh)
+    steps = controller.qisac_steps(source, params_common, cfg)
+    for t in range(cfg.t_max - 1):
+        # each step returns its decisions and keeps no reference to them
+        got = next(steps)
+        assert len(decisions) == t + 1 and decisions[-1]() is got
+        del got
+        assert sum(r() is not None for r in blocks) == (0 if refresh else 1)
+        assert all(r() is None for r in decisions)
+    with pytest.raises(StopIteration) as stop:
+        next(steps)
+    trace = stop.value.value
+    assert decisions[-1]() is trace.s_hat_final
+    assert len(blocks) == (cfg.t_max if refresh else 1)
+
+    monkeypatch.setattr(controller, "run_em", real_em)
+    ref = run_qisac(source, params_common, cfg)
+    for f in fields(trace):
+        a, b = getattr(trace, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype, f.name
+        else:
+            assert a == b, f.name
 
 
 def test_run_qisac_flip_indicator_consistency(params_common):

@@ -13,7 +13,8 @@ from qisac.em import (
     m_step_objective,
     reflection_margin,
 )
-from qisac.physics import ObservationBlock, block_means, expit
+from qisac.em import _FLAT_RESP_TOL, _TIE_BAND
+from qisac.physics import ObservationBlock, block_means, canonical_phase, expit
 
 
 def _block(x, s=None, seed=0):
@@ -412,6 +413,73 @@ def test_reflection_margin_is_the_loglik_difference():
             got = reflection_margin(abs_x, float(abs_x.sum()), params, psi, theta, cand)
             assert abs(got - (ll1 - ll0)) <= 1e-12 * max(abs(ll0), abs(ll1)), (energy, n)
             assert reflection_margin(abs_x, float(abs_x.sum()), params, psi, theta, theta) == 0.0
+
+
+def _run_em_formulas(x, params, psi, config):
+    """run_em written plainly: a fresh array per pass and a bool decision mask."""
+    a, s2 = params.amplitude(), params.noise_var()
+    theta = psi if config.init_theta is None else config.init_theta
+    for _ in range(config.l_max):
+        t = x * (a * math.cos(theta - psi) / s2)
+        s = float(np.add.reduce(np.tanh(t) * x))
+        u = min(1.0, max(-1.0, s / (len(x) * a)))
+        new = psi + math.copysign(math.acos(u), math.sin(theta - psi))
+        step, theta = new - theta, new
+        if abs(step) < config.eps:
+            break
+    z = x * (2.0 * a * math.cos(theta - psi) / s2)
+    s_hat = (z < 0.0).astype(np.int64)
+    tie = np.flatnonzero((z < 0.0) & (z > -_TIE_BAND))
+    s_hat[tie] = expit(-z[tie]) > expit(z[tie])
+    flat = bool(np.abs(z).max() < 1.0 and max(abs(expit(z.max()) - 0.5),
+                                              abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
+    return canonical_phase(theta), s_hat, flat
+
+
+def test_run_em_and_reflection_margin_match_plain_formulas():
+    # the scratch reuse in run_em and reflection_margin changes no bit: on
+    # random blocks salted with exact ties (expit(z) == expit(-z)), +-0.0,
+    # |z| inside the tie band and quarter-turn (flat-likelihood) starts,
+    # estimate, decisions, flat flag and margin equal the plain formulas
+    rng = np.random.default_rng(4242)
+    salt = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 3e-15, -3e-15,
+                     -1e-17, -2e-16, 1e-13, -1e-13])
+    flats = ties = 0
+    for k in range(120):
+        params = ChannelParams(E=float(np.exp(rng.uniform(math.log(1e-2), math.log(1e3)))),
+                               eta=float(rng.uniform(0.3, 1.0)), Na=float(rng.uniform(0.0, 4.0)),
+                               theta=float(rng.uniform(0.0, np.pi)))
+        psi = float(rng.uniform(0.0, np.pi))
+        n = int(rng.integers(1, 600))
+        x = sample_block(params, psi, n, seed=int(rng.integers(1 << 62))).x
+        x = rng.permutation(np.concatenate([x, rng.choice(salt, int(rng.integers(0, 8)))]))
+        if k % 4 == 0:
+            init = psi + np.pi / 2
+        elif k % 4 == 1:
+            init = None
+        else:
+            init = float(rng.uniform(-np.pi, 2 * np.pi))
+        cfg = EmConfig(eps=float(rng.choice([1e-3, 1e-9])), init_theta=init)
+        res = run_em(_block(x), params, psi, cfg)
+        theta_hat, s_hat, flat = _run_em_formulas(x, params, psi, cfg)
+        assert res.theta_hat == theta_hat, k
+        assert res.s_hat.dtype == np.int64 and np.array_equal(res.s_hat, s_hat), k
+        assert res.flat_likelihood == flat, k
+        flats += flat
+        z = x * (2.0 * params.amplitude() * math.cos(res.theta_hat - psi) / params.noise_var())
+        ties += int(np.any((expit(z) == expit(-z)) & (z < 0.0)))
+
+        abs_x = np.abs(x)
+        sum_abs = float(abs_x.sum())
+        cand = float(rng.uniform(0.0, np.pi))
+        s2, a = params.noise_var(), params.amplitude()
+        m0, m1 = abs(a * math.cos(theta_hat - psi)), abs(a * math.cos(cand - psi))
+        soft = (float(np.log1p(np.exp(abs_x * (-2.0 * m1 / s2))).sum())
+                - float(np.log1p(np.exp(abs_x * (-2.0 * m0 / s2))).sum()))
+        plain = soft + (m1 - m0) * (2.0 * sum_abs - len(abs_x) * (m1 + m0)) / (2.0 * s2)
+        assert reflection_margin(abs_x, sum_abs, params, psi, theta_hat, cand) == plain, k
+    assert 0 < flats < 120
+    assert ties > 0
 
 
 def test_em_config_validation():

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from qisac import (
     steady_window,
     trial_seed,
 )
-from qisac.montecarlo import median, quantile, steady_mean, steady_psi
+from qisac.analytics import pareto_known_theta
+from qisac.montecarlo import SweepPoint, median, quantile, steady_mean, steady_psi
 
 
 def _spec(params, trials=2, n_block=300, t_max=20, seed=42, **algo_kw):
@@ -344,3 +346,126 @@ def test_sweep_marks_infeasible_points(params_common, monkeypatch):
     p = curve.points[0]
     assert not p.feasible
     assert math.isnan(p.ber_sim) and math.isnan(p.ber_theory)
+
+
+def _assert_same_trace(a, b, where):
+    for f in fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), (where, f.name)
+        else:
+            assert va == vb, (where, f.name)
+
+
+def _point_alone(spec, entry):
+    """A sweep entry evaluated from its trials run one by one through _single_trial."""
+    gamma_frac, na, n = entry
+    params = replace(spec.params, Na=na)
+    gamma = gamma_frac * mc.fc_max(params, n)
+    ref = mc.pareto_known_theta(params, n, gamma)
+    spec_j = replace(spec, params=params, n_block=n, sweep=None,
+                     algo=replace(spec.algo, gamma_min=gamma, gamma_relative=False))
+    traces = []
+    for i in range(spec.trials):
+        try:
+            traces.append(mc._single_trial(spec_j, i))
+        except QisacError:
+            pass
+    per_trial = np.array([steady_mean(tr.ber_emp, len(tr)) for tr in traces])
+    stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
+    point = SweepPoint(float(gamma_frac), float(na), int(n), float(per_trial.mean()), stderr,
+                       ref.ber, ref.phi_star, True)
+    return spec_j, point
+
+
+def test_lockstep_sweep_matches_points_run_alone(params_common, monkeypatch, caplog):
+    # sweep points of one trial advance in lockstep over shared block draws;
+    # mixed block lengths and Na, an infeasible point, points that stop at
+    # different iterations (eps > 0) and a point whose EM fails in one trial
+    # must each give the SweepPoint and traces of the point run alone
+    sweep = ((0.0, 3.0, 160), (0.6, 3.0, 160), (0.0, 1.0, 160),
+             (0.0, 3.0, 240), (0.9, 3.0, 240), (0.3, 1.0, 240))
+    spec = ExperimentSpec(
+        params=params_common,
+        algo=AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.05, t_max=60, psi0=math.radians(70.0)),
+        n_block=100, trials=3, seed=31, sweep=sweep)
+    real_pareto = mc.pareto_known_theta
+
+    def pareto(params, n, gamma, **kw):
+        if n == 240 and params.Na == 3.0 and gamma > 0.0:
+            raise InfeasibleError("forced infeasible")
+        return real_pareto(params, n, gamma, **kw)
+
+    monkeypatch.setattr(mc, "pareto_known_theta", pareto)
+    fail_at, fail_trial, fail_point = 4, 1, 5
+    fail_key = trial_seed(trial_seed(spec.seed, fail_trial), fail_at)
+    real_em = controller.run_em
+
+    def em(block, params, psi, cfg):
+        if block.seed == fail_key and params.Na == 1.0 and block.n == 240:
+            raise QisacError("forced")
+        return real_em(block, params, psi, cfg)
+
+    monkeypatch.setattr(controller, "run_em", em)
+    with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
+        curve = run_tradeoff_sweep(spec)
+    logged = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
+    msg = f"QisacError: iteration {fail_at}: forced"
+    seed_1 = trial_seed(spec.seed, fail_trial)
+    assert logged == [f"trial {fail_trial} (seed {seed_1}) failed: {msg}"]
+
+    assert [p.feasible for p in curve.points] == [True, True, True, True, False, True]
+    assert math.isnan(curve.points[4].ber_sim)
+    for j in (0, 1, 2, 3, 5):
+        assert curve.points[j] == _point_alone(spec, sweep[j])[1], j
+    lengths = set()
+    for n, group in ((160, (0, 1, 2)), (240, (3, 5))):
+        specs = [_point_alone(spec, sweep[j])[0] for j in group]
+        for i in range(spec.trials):
+            done = dict(mc._lockstep(specs, i))
+            assert sorted(done) == list(range(len(specs)))
+            for k, spec_k in enumerate(specs):
+                out = done[k]
+                if isinstance(out, QisacError):
+                    assert (i, group[k]) == (fail_trial, fail_point)
+                    assert out.iteration == fail_at
+                    with pytest.raises(QisacError, match="forced"):
+                        mc._single_trial(spec_k, i)
+                    continue
+                _assert_same_trace(out, mc._single_trial(spec_k, i), (n, i, k))
+                lengths.add(len(out))
+    # eps > 0: the points stopped at different iterations, some before t_max
+    assert len(lengths) > 2 and spec.algo.t_max in lengths
+
+
+def test_lockstep_draws_each_block_once_and_shares_read_only_symbols(params_common,
+                                                                      monkeypatch):
+    # two points of one block length: one draw per outer iteration, one
+    # composed block per point per iteration, and a block's symbols (shared
+    # with its sibling) cannot be written
+    draws, blocks = [], []
+    real_draw, real_sample = mc.draw_block, mc.sample_block
+
+    def draw(n, seed):
+        draws.append(seed.key)
+        return real_draw(n, seed)
+
+    def sample(params, psi, n, seed):
+        blocks.append(real_sample(params, psi, n, seed))
+        with pytest.raises(ValueError):
+            blocks[-1].s_true[0] ^= 1
+        return blocks[-1]
+
+    monkeypatch.setattr(mc, "draw_block", draw)
+    monkeypatch.setattr(mc, "sample_block", sample)
+    spec = _spec(params_common, trials=1, t_max=5)
+    spec = replace(spec, sweep=((0.1, 3.0, 300), (0.7, 1.0, 300)))
+    curve = run_tradeoff_sweep(spec)
+    assert all(p.feasible for p in curve.points)
+    seed_0 = trial_seed(spec.seed, 0)
+    assert draws == [trial_seed(seed_0, t) for t in range(5)]
+    assert len(blocks) == 10
+    for t in range(5):
+        a, b = blocks[2 * t], blocks[2 * t + 1]
+        assert a.s_true is b.s_true
+        assert a.x.tobytes() != b.x.tobytes()

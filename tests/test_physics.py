@@ -12,7 +12,7 @@ from qisac import (
     sample_block,
     trial_seed,
 )
-from qisac.physics import BlockSeed, _seed_words, block_seeds, dot
+from qisac.physics import BlockDraw, BlockSeed, _seed_words, block_seeds, dot, draw_block
 
 
 def test_canonical_phase_half_open_contract():
@@ -155,6 +155,34 @@ def test_sample_block_symbols_are_raw_word_bits():
     assert np.array_equal(blk.x, noise * math.sqrt(p.noise_var()) + means[blk.s_true])
     # the symbols of a shorter block are a prefix of a longer one's
     assert sample_block(p, 0.1, 64, seed=seed).s_true.tolist() == expected[:64]
+
+
+def test_blocks_composed_from_one_draw_equal_their_own_draws():
+    # a draw holds what a block shares with every channel and LO phase: the
+    # blocks composed from it are bit-identical to blocks drawn alone, and
+    # they share its read-only symbols, so no block can alter a sibling
+    n, seed = 300, block_seeds(77, 3, 1)[0]
+    draw = draw_block(n, seed)
+    assert isinstance(draw, BlockDraw) and draw.n == n and draw.key == seed.key
+    blocks = []
+    for params, psi in ((ChannelParams(10.0, 0.8, 3.0, theta=0.3), 0.1),
+                        (ChannelParams(2.0, 0.5, 0.0, theta=2.0), 1.2)):
+        shared = sample_block(params, psi, n, draw)
+        for alone in (sample_block(params, psi, n, seed), sample_block(params, psi, n, seed.key)):
+            assert shared.x.tobytes() == alone.x.tobytes()
+            assert shared.s_true.tobytes() == alone.s_true.tobytes()
+            assert shared.seed == alone.seed == seed.key
+        assert shared.s_true is draw.s_true
+        blocks.append(shared)
+    for arr in (blocks[0].s_true, draw.z):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert blocks[1].s_true.tobytes() == sample_block(ChannelParams(2.0, 0.5, 0.0), 1.2, n,
+                                                      seed).s_true.tobytes()
+    with pytest.raises(ValueError):
+        sample_block(ChannelParams(10.0, 0.8, 3.0), 0.1, n - 1, draw)
+    with pytest.raises(ValueError):
+        draw_block(0, 1)
 
 
 def test_dot_is_the_pairwise_sum_row_by_row():
