@@ -213,15 +213,20 @@ def _lockstep(
     seeds: list[BlockSeed] = []   # seeds[t] keys block t as trial_seed(seed_t, t)
     slot: list = [-1, None]       # (t, draw) of the latest block
 
+    def seed_at(t: int) -> BlockSeed:
+        while len(seeds) <= t:
+            seeds.extend(block_seeds(seed_t, len(seeds), _SEED_CHUNK))
+        return seeds[t]
+
     def shared(t: int) -> BlockDraw:
         if slot[0] != t:
             slot[1] = None   # drop the old draw before the next is made
-            while len(seeds) <= t:
-                seeds.extend(block_seeds(seed_t, len(seeds), _SEED_CHUNK))
-            slot[:] = t, draw_block(n, seeds[t])
+            slot[:] = t, draw_block(n, seed_at(t))
         return slot[1]
 
     def source_of(params: ChannelParams):
+        if len(specs) == 1:   # nothing to share: the block is drawn and composed in one step
+            return lambda psi, t: sample_block(params, psi, n, seed_at(t))
         return lambda psi, t: sample_block(params, psi, n, shared(t))
 
     loops = {k: qisac_steps(source_of(sp.params), sp.params, sp.algo)

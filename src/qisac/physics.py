@@ -280,15 +280,8 @@ class BlockDraw:
         return len(self.z)
 
 
-def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
-    """Draw the symbols and unit normals of a block of ``n`` outcomes.
-
-    One SFC64 generator keyed by ``seed & (2**64 - 1)`` first yields
-    ceil(n/64) raw 64-bit words, whose bits, read least significant first
-    from little-endian bytes on any host, are the symbols; the same generator
-    then draws n standard normals.  ``seed`` may also be a :class:`BlockSeed`,
-    whose precomputed words key the generator exactly as its ``key`` would.
-    """
+def _draw(n: int, seed: int | BlockSeed) -> tuple[int, np.ndarray, np.ndarray]:
+    """(key, symbols, unit normals) of :func:`draw_block`, as fresh writable arrays."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if isinstance(seed, BlockSeed):
@@ -298,7 +291,19 @@ def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
     bits = SFC64(seed)
     words = bits.random_raw(-(-n // 64)).astype("<u8", copy=False)
     s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(np.int64)
-    z = Generator(bits).standard_normal(n)
+    return key, s, Generator(bits).standard_normal(n)
+
+
+def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
+    """Draw the symbols and unit normals of a block of ``n`` outcomes.
+
+    One SFC64 generator keyed by ``seed & (2**64 - 1)`` first yields
+    ceil(n/64) raw 64-bit words, whose bits, read least significant first
+    from little-endian bytes on any host, are the symbols; the same generator
+    then draws n standard normals.  ``seed`` may also be a :class:`BlockSeed`,
+    whose precomputed words key the generator exactly as its ``key`` would.
+    """
+    key, s, z = _draw(n, seed)
     s.flags.writeable = False
     z.flags.writeable = False
     return BlockDraw(key, s, z)
@@ -322,9 +327,12 @@ def sample_block(
     compose it per channel (common random numbers), and their ``s_true`` is
     that draw's read-only symbol array.
     """
-    draw = seed if isinstance(seed, BlockDraw) else draw_block(n, seed)
-    if draw.n != n:
-        raise ValueError(f"block length {n} does not match the draw's {draw.n}")
-    x = draw.z * math.sqrt(params.noise_var())
-    x += block_means(params, psi).take(draw.s_true)
-    return ObservationBlock(x=x, s_true=draw.s_true, seed=draw.key)
+    if isinstance(seed, BlockDraw):
+        if seed.n != n:
+            raise ValueError(f"block length {n} does not match the draw's {seed.n}")
+        key, s, x = seed.key, seed.s_true, seed.z * math.sqrt(params.noise_var())
+    else:   # a draw of its own, composed in place
+        key, s, x = _draw(n, seed)
+        x *= math.sqrt(params.noise_var())
+    x += block_means(params, psi).take(s)
+    return ObservationBlock(x=x, s_true=s, seed=key)

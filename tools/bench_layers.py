@@ -13,17 +13,14 @@ lambda=0.01, eps=0, psi0=90 deg).  The names the trial calls are wrapped in
 place with timers and minor-page-fault counters
 (``getrusage(RUSAGE_SELF).ru_minflt``, this process only):
 
-- ``sample_block``   composing the block from its draw
-  (``qisac.montecarlo.sample_block``, called by the trial's block source once
-  per iteration),
+- ``sample_block``   drawing the block (``qisac.montecarlo.sample_block``,
+  called by the trial's block source once per iteration),
 - ``run_em``         EM on the block,
 - ``reflection_margin`` reflection scoring against the held anchor block
   (``qisac.controller.reflection_margin``, one call per iteration),
 - ``fisher_symbol``  the block Fisher information,
-- ``rest``           what the whole iteration spends outside those calls:
-  the block's draw of symbols and unit normals (``physics.draw_block``, which
-  sweep points of one block length share) and the trial's derivation of its
-  block seeds included,
+- ``rest``           what the whole iteration spends outside those calls,
+  the trial's derivation of its block seeds included,
 - ``total``          the whole iteration, block draw to block draw.
 
 The first iteration, which pays the one-time ``fc_max``, is not counted.  Each
