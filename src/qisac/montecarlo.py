@@ -326,14 +326,14 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
             (j, replace(spec, params=params_j, algo=algo_j, n_block=n, sweep=None)))
 
     bers: dict[int, list[float]] = {j: [] for j in refs}
-    failures: dict[int, list[tuple[int, str]]] = {j: [] for j in refs}
+    first_failure: dict[int, str] = {}
     for group in groups.values():
         specs = [sp for _, sp in group]
         for i in range(spec.trials):
             for k, out in _lockstep(specs, i):
                 j = group[k][0]
                 if isinstance(out, QisacError):
-                    failures[j].append(_failure(spec, i, out))
+                    first_failure.setdefault(j, _failure(spec, i, out)[1])
                 else:
                     bers[j].append(steady_mean(out.ber_emp, len(out)))
 
@@ -342,7 +342,7 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
         if not bers[j]:
             raise QisacError(
                 f"all trials failed at gamma_frac={gamma_frac}, Na={na}, N={n}: "
-                f"{failures[j][0][1]}"
+                f"{first_failure[j]}"
             )
         per_trial = np.array(bers[j])
         stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0

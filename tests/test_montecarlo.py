@@ -469,3 +469,21 @@ def test_lockstep_draws_each_block_once_and_shares_read_only_symbols(params_comm
         a, b = blocks[2 * t], blocks[2 * t + 1]
         assert a.s_true is b.s_true
         assert a.x.tobytes() != b.x.tobytes()
+
+
+def test_sweep_point_whose_trials_all_fail_raises(params_common, monkeypatch):
+    # its sibling of the same block length runs to the end in the same
+    # lockstep; the error names the point and its first failure
+    real_em = controller.run_em
+
+    def em(block, params, psi, cfg):
+        if params.Na == 1.0:
+            raise QisacError("forced")
+        return real_em(block, params, psi, cfg)
+
+    monkeypatch.setattr(controller, "run_em", em)
+    spec = replace(_spec(params_common, trials=2, t_max=4),
+                   sweep=((0.1, 3.0, 200), (0.4, 1.0, 200)))
+    with pytest.raises(QisacError, match=r"gamma_frac=0\.4, Na=1\.0, N=200: "
+                                         r"QisacError: iteration 0: forced"):
+        run_tradeoff_sweep(spec)
