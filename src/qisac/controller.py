@@ -352,6 +352,8 @@ def run_qisac(
     steps = qisac_steps(block_source, params, config)
     while True:
         try:
-            next(steps)
+            # held until the next step has run, which keeps malloc from
+            # trimming and re-faulting the heap top at large N
+            decisions = next(steps)  # noqa: F841
         except StopIteration as stop:
             return stop.value

@@ -238,7 +238,7 @@ def _lockstep(
                 # has run: at large N they sit at the top of the heap, and
                 # freeing them at once would let malloc return the pages that
                 # every step then faults back in
-                decisions = next(loops[k])
+                decisions = next(loops[k])  # noqa: F841
             except StopIteration as stop:
                 del loops[k]
                 yield k, stop.value
