@@ -327,11 +327,11 @@ def run_em(
     theta = psi if config.init_theta is None else float(config.init_theta)
     thetas = []
     converged = False
-    t = np.empty_like(x)   # the one scratch of every pass
+    t = None   # the one scratch of every pass, made by the first
     for _ in range(config.l_max):
         # E-step folded into the statistic S = sum tanh(mu*x/s2) * x
         mu = a * math.cos(theta - psi)
-        np.multiply(x, mu / sigma2, out=t)
+        t = np.multiply(x, mu / sigma2, out=t)
         s = float(dot(np.tanh(t, out=t), x, out=t))
         theta_new = _m_step(s, block.n, a, psi, theta)
         thetas.append(theta_new)
