@@ -205,8 +205,9 @@ def _lockstep(
     iteration at a time in turn, the first to reach iteration t draws its
     block once into a one-slot cache keyed by t, and every loop composes its
     own block from that draw through ``sample_block``, bit-identical to
-    drawing it alone.  A loop that raises QisacError ends there; the others
-    go on.
+    drawing it alone.  A group of one has nothing to share and passes each
+    block's seed instead.  A loop that raises QisacError ends there; the
+    others go on.
     """
     seed_t = trial_seed(specs[0].seed, index)
     n = specs[0].n_block
