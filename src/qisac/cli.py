@@ -5,11 +5,19 @@ Configuration files are single JSON documents with three sections::
     {
       "channel":    {"E": 10, "eta": 0.8, "Na": 3, "theta_deg": 45},
       "algo":       {"gamma_frac": 0.6, "lambda": 0.01, "eps": 1e-3,
-                     "t_max": 500, "l_max": 500, "psi0_deg": 90,
+                     "t_max": 500, "l_max": 500, "psi0_deg": 0,
                      "block_refresh": true},
       "experiment": {"n_block": 1000, "trials": 50, "seed": 1},
       "sweep":      [[0.1, 3, 5000], ...]          // sweep command only
     }
+
+Each section is read against one table of key -> (reader, default):
+``_CHANNEL``, ``_ALGO`` and the experiment table in :func:`parse_config`.
+A key its table does not list is a configuration error in every section.
+The channel keys and ``n_block`` are required.  The algo values above other
+than ``gamma_frac`` are the defaults, and ``trials`` defaults to 50 for
+``run`` and 200 for ``sweep``.  ``"seed": null`` means the file gives no
+seed, the same as leaving the key out.
 
 Exactly one of ``gamma_frac`` (fraction of the achievable Fisher maximum) or
 ``gamma_abs`` (absolute block Fisher) must be present.  All angles in files
@@ -53,16 +61,6 @@ from .montecarlo import (
 )
 from .physics import ChannelParams
 
-_DEFAULTS_ALGO = {
-    "lambda": 0.01,
-    "eps": 1e-3,
-    "t_max": 500,
-    "l_max": 500,
-    "psi0_deg": 0.0,
-    "block_refresh": True,
-}
-_DEFAULT_TRIALS = {"run": 50, "sweep": 200}
-
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write a header and rows as CSV: floats to 17 significant digits, other values by str().
@@ -89,12 +87,6 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {where}.{key}")
-    return section[key]
-
-
 def _as_int(value, where: str) -> int:
     """An integral JSON number (2 or 2.0); 2.5, strings and booleans are rejected."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -116,6 +108,48 @@ def _as_float(value, where: str) -> float:
     return x
 
 
+def _as_bool(value, where: str) -> bool:
+    """JSON true or false; 0, 1 and strings are rejected."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _as_seed(value, where: str) -> int | None:
+    """An integer, or null for "no seed in the file"."""
+    return None if value is None else _as_int(value, where)
+
+
+_REQUIRED = object()    # the table default of a key that every file must give
+
+# key -> (reader, default), in the order the echo lists them
+_CHANNEL = {key: (_as_float, _REQUIRED) for key in ("E", "eta", "Na", "theta_deg")}
+_ALGO = {                # besides exactly one of gamma_frac / gamma_abs
+    "lambda": (_as_float, 0.01),
+    "eps": (_as_float, 1e-3),
+    "t_max": (_as_int, 500),
+    "l_max": (_as_int, 500),
+    "psi0_deg": (_as_float, 0.0),
+    "block_refresh": (_as_bool, True),
+}
+
+
+def _read(section: dict, keys: dict, where: str) -> dict:
+    """Every key of the table ``keys`` read from ``section``, defaults filled, in table order.
+
+    A key the table does not list, or a required key the section lacks, is a
+    :class:`ConfigError`.
+    """
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in section:
+            raise ConfigError(f"missing required key {where}.{key}")
+    return {key: reader(section.get(key, default), f"{where}.{key}")
+            for key, (reader, default) in keys.items()}
+
+
 def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     """Validate a config document and build the experiment description.
 
@@ -132,65 +166,42 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
-    ch = doc["channel"]
-
-    def channel_num(key: str) -> float:
-        return _as_float(_require(ch, key, "channel"), f"channel.{key}")
-
+    ch = _read(doc["channel"], _CHANNEL, "channel")
     try:
-        params = ChannelParams(
-            E=channel_num("E"),
-            eta=channel_num("eta"),
-            Na=channel_num("Na"),
-            theta=math.radians(channel_num("theta_deg")),
-        )
+        params = ChannelParams(E=ch["E"], eta=ch["eta"], Na=ch["Na"],
+                               theta=math.radians(ch["theta_deg"]))
     except ValueError as err:
         raise ConfigError(f"invalid channel parameters: {err}") from err
 
     al = dict(doc["algo"])
     has_frac = "gamma_frac" in al
-    has_abs = "gamma_abs" in al
-    if has_frac == has_abs:
+    if has_frac == ("gamma_abs" in al):
         raise ConfigError("exactly one of algo.gamma_frac / algo.gamma_abs is required")
     gamma_key = "gamma_frac" if has_frac else "gamma_abs"
     gamma = _as_float(al.pop(gamma_key), f"algo.{gamma_key}")
-    merged = dict(_DEFAULTS_ALGO)
-    unknown = set(al) - set(merged)
-    if unknown:
-        raise ConfigError(f"unknown algo keys: {sorted(unknown)}")
-    merged.update(al)
-    if not isinstance(merged["block_refresh"], bool):
-        raise ConfigError(
-            f"algo.block_refresh must be true or false, got {merged['block_refresh']!r}"
-        )
-    eps = _as_float(merged["eps"], "algo.eps")
+    al = _read(al, _ALGO, "algo")
     # the outer loop accepts 0 (= no early stop); the inner updates need a
     # positive tolerance, so they fall back to the default in that case
-    inner_eps = eps if eps > 0 else float(_DEFAULTS_ALGO["eps"])
+    inner_eps = al["eps"] if al["eps"] > 0 else _ALGO["eps"][1]
     try:
-        em_cfg = EmConfig(
-            eps=inner_eps,
-            l_max=_as_int(merged["l_max"], "algo.l_max"),
-        )
         algo = AlgoConfig(
             gamma_min=gamma,
-            lam=_as_float(merged["lambda"], "algo.lambda"),
-            eps=eps,
-            t_max=_as_int(merged["t_max"], "algo.t_max"),
-            em=em_cfg,
-            psi0=math.radians(_as_float(merged["psi0_deg"], "algo.psi0_deg")),
+            lam=al["lambda"],
+            eps=al["eps"],
+            t_max=al["t_max"],
+            em=EmConfig(eps=inner_eps, l_max=al["l_max"]),
+            psi0=math.radians(al["psi0_deg"]),
             gamma_relative=has_frac,
-            block_refresh=merged["block_refresh"],
+            block_refresh=al["block_refresh"],
         )
     except ValueError as err:
         raise ConfigError(f"invalid algo parameters: {err}") from err
 
-    ex = doc["experiment"]
-    trials = _as_int(
-        ex.get("trials", _DEFAULT_TRIALS[command if command in _DEFAULT_TRIALS else "run"]),
-        "experiment.trials",
-    )
-    seed = ex.get("seed")
+    ex = _read(doc["experiment"], {
+        "n_block": (_as_int, _REQUIRED),
+        "trials": (_as_int, 200 if command == "sweep" else 50),
+        "seed": (_as_seed, None),
+    }, "experiment")
     sweep = None
     if "sweep" in doc:
         raw = doc["sweep"]
@@ -207,46 +218,22 @@ def parse_config(doc: dict, command: str) -> tuple[ExperimentSpec, dict, bool]:
     elif command == "sweep":
         raise ConfigError("sweep command requires a sweep section")
 
+    had_seed = ex["seed"] is not None
     try:
-        spec = ExperimentSpec(
-            params=params,
-            algo=algo,
-            n_block=_as_int(_require(ex, "n_block", "experiment"), "experiment.n_block"),
-            trials=trials,
-            seed=_as_int(seed, "experiment.seed") if seed is not None else 0,
-            sweep=sweep,
-        )
+        spec = ExperimentSpec(params=params, algo=algo, n_block=ex["n_block"],
+                              trials=ex["trials"], seed=ex["seed"] if had_seed else 0,
+                              sweep=sweep)
     except ValueError as err:
         raise ConfigError(f"invalid experiment parameters: {err}") from err
 
-    echo = {
-        "channel": {"E": params.E, "eta": params.eta, "Na": params.Na,
-                    "theta_deg": math.degrees(params.theta)},
-        "algo": {
-            ("gamma_frac" if has_frac else "gamma_abs"): gamma,
-            "lambda": algo.lam,
-            "eps": algo.eps,
-            "t_max": algo.t_max,
-            "l_max": em_cfg.l_max,
-            "psi0_deg": math.degrees(algo.psi0),
-            "block_refresh": algo.block_refresh,
-        },
-        "experiment": {"n_block": spec.n_block, "trials": spec.trials, "seed": spec.seed},
-    }
+    # the echo lists the angles the library runs with, back in degrees
+    ch["theta_deg"] = math.degrees(params.theta)
+    al["psi0_deg"] = math.degrees(algo.psi0)
+    echo = {"channel": ch, "algo": {gamma_key: gamma, **al},
+            "experiment": {**ex, "seed": spec.seed}}
     if sweep is not None:
         echo["sweep"] = [[g, na, n] for g, na, n in sweep]
-    return spec, echo, seed is not None
-
-
-def _load_config(path: str, command: str) -> tuple[ExperimentSpec, dict, bool]:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return parse_config(doc, command)
+    return spec, echo, had_seed
 
 
 def _resolve_seed(flag_seed, spec_seed, config_had_seed: bool):
@@ -262,6 +249,23 @@ def _resolve_seed(flag_seed, spec_seed, config_had_seed: bool):
         except ValueError as err:
             raise ConfigError(f"QISAC_SEED must be an integer, got {env!r}") from err
     return 0
+
+
+def _prepare(args, command: str) -> tuple[ExperimentSpec, dict, Path]:
+    """Load the config, settle the master seed (the echo's too) and make --out-dir."""
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config {args.config}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config {args.config} is not valid JSON: {err}") from err
+    spec, echo, had_seed = parse_config(doc, command)
+    seed = _resolve_seed(args.seed, spec.seed, had_seed)
+    echo["experiment"]["seed"] = seed
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return replace(spec, seed=seed), echo, out
 
 
 def cmd_analytics(args) -> int:
@@ -307,12 +311,7 @@ def cmd_analytics(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec, echo, had_seed = _load_config(args.config, "run")
-    seed = _resolve_seed(args.seed, spec.seed, had_seed)
-    spec = replace(spec, seed=seed)
-    echo["experiment"]["seed"] = seed
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    spec, echo, out = _prepare(args, "run")
 
     result = run_convergence_experiment(spec)
 
@@ -346,7 +345,7 @@ def cmd_run(args) -> int:
     gamma = result.traces[0].gamma_min
     summary = {
         "version": __version__,
-        "master_seed": seed,
+        "master_seed": spec.seed,
         "config": echo,
         "trials_ok": len(result.traces),
         "trials_failed": [{"trial": i, "error": msg} for i, msg in result.failures],
@@ -371,12 +370,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec, echo, had_seed = _load_config(args.config, "sweep")
-    seed = _resolve_seed(args.seed, spec.seed, had_seed)
-    spec = replace(spec, seed=seed)
-    echo["experiment"]["seed"] = seed
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    spec, echo, out = _prepare(args, "sweep")
 
     curve = run_tradeoff_sweep(spec)
     rows = [(p.gamma_frac, p.na, p.n, p.ber_sim, p.ber_stderr, p.ber_theory)
@@ -386,7 +380,7 @@ def cmd_sweep(args) -> int:
                 "ber_theory_known_theta"], rows)
     _write_json(out / "sweep_summary.json", {
         "version": __version__,
-        "master_seed": seed,
+        "master_seed": spec.seed,
         "config": echo,
         "trials_per_point": curve.trials,
         "points": [{

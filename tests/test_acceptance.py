@@ -8,16 +8,16 @@ so this failure is expected):
 
 * Test 7 (trade-off sweep) asserts the simulated steady-state error rate
   equals the known-phase frontier at the sweep endpoints within 3 standard
-  errors.  The suspected cause (ROADMAP direction 5; not settled): the
-  retuning rule picks its target by thresholding the per-block
-  information estimate, and that estimate carries irreducible noise
-  (one-over-root-NF at block size N), so the dwell between the two targets
-  balances at a mean offset displaced from the frontier angle — about one
-  estimate-sigma outward when the sensing-side step dwarfs the
-  communication-side step (low demand: +7e-4 on the error rate at N=5000)
-  and slightly inward when the steps nearly match (high demand: -5e-4).
-  Both displacements are stationary, shrink only with larger blocks, and
-  exceed any honest 3-standard-error budget at the stated block size.  The
+  errors.  The cause is measured (ROADMAP direction 5): the paper's
+  retuning rule steps lambda*phi toward the communication target and
+  lambda*(pi/2 - phi) toward the sensing target, with phi the offset of
+  the LO from the phase estimate.  Its dwell is therefore stationary where
+  the share of blocks that meet the demand is 1 - phi/(pi/2), not one
+  half.  At the frontier angle that share is 0.844 at frac 0.1 (0.836
+  measured), so the loop sits outward with a higher error rate
+  (+6.6e-4 at N=5000), and 0.444 at frac 0.9 (0.448 measured), so it sits
+  inward with a lower one (-5.3e-4).  That share, not the noise of the
+  information estimate, explains the sign of both gaps.  The
   monotonicity and block-size-ordering checks in the same test pass (they
   run first).
 """
@@ -308,11 +308,12 @@ def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
                for frac, gap, se in gaps if not abs(gap) <= 3.0 * se]
     assert not failing, (
         "steady error rate differs from the known-phase frontier by more than "
-        "3 se at N=5000, " + "; ".join(failing) + ".  Suspected cause, not yet "
-        "settled (ROADMAP direction 5): the target selector thresholds a noisy "
-        "per-block information estimate, so the loop may dwell about one "
-        "estimate-sigma from the frontier angle (expected failure, kept at "
-        "stated strength)"
+        "3 se at N=5000, " + "; ".join(failing) + ".  Measured cause (ROADMAP "
+        "direction 5): the paper rule's unequal steps make its dwell stationary "
+        "where a share 1 - phi/(pi/2) of blocks meets the demand, not one half "
+        "(0.844 predicted, 0.836 measured at frac 0.1; 0.444 and 0.448 at frac "
+        "0.9), which puts the loop outward at low demand and inward at high "
+        "demand (expected failure, kept at stated strength)"
     )
 
 

@@ -128,6 +128,8 @@ def test_parse_config_zero_eps_disables_outer_stop_only():
     lambda d: d["channel"].update(theta_deg=float("-inf")),
     lambda d: d["channel"].update(E=10**400),           # integer beyond the double range
     lambda d: d.update(sweep=[[float("nan"), 3.0, 150]]),
+    lambda d: d["channel"].update(theta=30.0),          # not a channel key
+    lambda d: d["experiment"].update(trails=5),         # not an experiment key
 ])
 def test_parse_config_rejects_malformed(mutate):
     doc = _base_doc()
@@ -154,6 +156,46 @@ def test_parse_config_accepts_integers_for_float_fields():
     assert spec.sweep == ((0.0, 3.0, 150),)
     assert isinstance(echo["channel"]["E"], float)
     assert isinstance(echo["algo"]["lambda"], float)
+
+
+def test_parse_config_echo_layout():
+    # run_summary.json and sweep_summary.json embed the echo: its key order
+    # is the tables', not the file's, and each angle echoes as the degrees
+    # of the radians the library runs with
+    doc = {
+        "sweep": [[0.1, 3, 5000], [0.9, 0, 50000]],
+        "experiment": {"seed": 707, "trials": 8, "n_block": 5000},
+        "algo": {"block_refresh": False, "psi0_deg": 60, "l_max": 200, "t_max": 350,
+                 "eps": 0, "lambda": 0.015, "gamma_abs": 120},
+        "channel": {"theta_deg": 30, "Na": 3, "eta": 0.8, "E": 10},
+    }
+    _, echo, _ = parse_config(doc, "sweep")
+    assert json.dumps(echo) == (
+        '{"channel": {"E": 10.0, "eta": 0.8, "Na": 3.0, "theta_deg": 29.999999999999996}, '
+        '"algo": {"gamma_abs": 120.0, "lambda": 0.015, "eps": 0.0, "t_max": 350, '
+        '"l_max": 200, "psi0_deg": 59.99999999999999, "block_refresh": false}, '
+        '"experiment": {"n_block": 5000, "trials": 8, "seed": 707}, '
+        '"sweep": [[0.1, 3.0, 5000], [0.9, 0.0, 50000]]}'
+    )
+
+
+def test_parse_config_null_seed_means_no_seed(tmp_path, monkeypatch):
+    doc = _base_doc()
+    doc["experiment"]["seed"] = None
+    spec, echo, had_seed = parse_config(doc, "run")
+    assert not had_seed
+    assert spec.seed == 0 and echo["experiment"]["seed"] == 0
+    doc["experiment"]["seed"] = 0
+    assert parse_config(doc, "run")[2]
+    # so QISAC_SEED applies to a null seed, and not to a seed of 0
+    monkeypatch.setenv("QISAC_SEED", "123")
+    for seed, master in ((None, 123), (0, 0)):
+        doc["experiment"]["seed"] = seed
+        out = tmp_path / f"seed_{seed}"
+        assert main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["master_seed"] == master
+        assert summary["config"]["experiment"]["seed"] == master
 
 
 def test_parse_config_sweep_required_for_sweep_command():
@@ -377,6 +419,17 @@ def test_run_bad_config_exits_2_without_outputs(tmp_path):
     rc = main(["--out-dir", str(out), "run", cfg])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [("channel", "theta"), ("experiment", "trails")])
+def test_run_unknown_section_key_exits_2_without_outputs(tmp_path, capsys, section, key):
+    doc = _base_doc()
+    doc[section][key] = 5
+    out = tmp_path / "unknown"
+    rc = main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)])
+    assert rc == 2
+    assert not out.exists()
+    assert f"unknown {section} keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_run_boolean_channel_value_exits_2(tmp_path):

@@ -201,8 +201,11 @@ def test_run_qisac_max_constraint_forces_sensing(params_common):
                      psi0=math.radians(90.0))
     trace = run_qisac(_source(params_common), params_common, cfg)
     assert "sen" in trace.target
-    # near the information peak the offset is close to a quarter turn,
-    # which drives the error rate toward coin-flipping
+    # the demand is almost never met, so the loop keeps stepping toward the
+    # sensing target a quarter turn from the estimate, which drives the
+    # error rate toward coin-flipping.  That target is not the information
+    # peak (59.8 deg from theta on this channel): the quarter turn itself
+    # carries zero information
     assert trace.ber_theory[-1] > 0.3
 
 
