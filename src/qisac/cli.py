@@ -42,6 +42,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -67,18 +68,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
     The values are numbers and plain words (the ``com``/``sen`` target),
     none of which CSV quotes, so each row is one template, made once per
-    sequence of value types, filled in one step.
+    sequence of value types, filled in one step; the file is written in
+    one call.
     """
     templates = {}
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+        lines.append(template % tuple(row))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(
-                    "%.17g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
-            fh.write(template % tuple(row))
+        fh.write("".join(lines))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -315,21 +318,18 @@ def cmd_run(args) -> int:
 
     result = run_convergence_experiment(spec)
 
-    rows = []
-    for k, tr in enumerate(result.traces):
-        for t in range(len(tr)):
-            rows.append((
-                t, k,
-                math.degrees(tr.theta_hat[t]),
-                math.degrees(tr.psi[t]),
-                float(tr.fc[t]),
-                tr.fc_max,
-                float(tr.ber_emp[t]),
-                float(tr.ber_theory[t]),
-                tr.target[t],
-                float(tr.reflect_margin[t]),
-                int(tr.reflection_adopted[t]),
-            ))
+    rows = chain.from_iterable(zip(
+        range(len(tr)), repeat(k),
+        map(math.degrees, tr.theta_hat.tolist()),
+        map(math.degrees, tr.psi.tolist()),
+        tr.fc.tolist(),
+        repeat(tr.fc_max),
+        tr.ber_emp.tolist(),
+        tr.ber_theory.tolist(),
+        tr.target,
+        tr.reflect_margin.tolist(),
+        tr.reflection_adopted.astype(int).tolist(),
+    ) for k, tr in enumerate(result.traces))
     _write_csv(out / "run_trace.csv",
                ["iter", "trial", "theta_hat_deg", "psi_deg", "fc", "fc_max",
                 "ber_emp", "ber_theory", "target", "reflect_margin",

@@ -71,6 +71,13 @@ _FLAT_RESP_TOL = 0.05   # responsibilities this close to 1/2 flag degeneracy
 # true gap is ~|z|/2, so beyond it the two differ by far more than roundoff
 _TIE_BAND = 1e-12
 
+# Largest block whose two reflection soft terms run as one (2, N) pass.  The
+# one pass saves a round of numpy calls, 2% of the trial loop at N = 1e3;
+# at N = 5e4 its 800 KB scratch made the loop 4% slower than two passes over
+# one N scratch, which stays warm between them.  From N = 5e3 to 2e4 the two
+# forms measured even.
+_ONE_PASS_MAX = 16384
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -212,15 +219,23 @@ def reflection_margin(
 
         (m1 - m0) * (2*sum|x| - N*(m1 + m0)) / (2*s2),
 
-    so the margin costs two soft-term passes, which share one scratch, and
-    no square.
+    so the margin costs the two soft terms, and no square.  Up to
+    _ONE_PASS_MAX outcomes both run as one pass over a C-contiguous (2, N)
+    scratch, reduced row by row, which gives each row the bits of its 1-D
+    sum (see :func:`qisac.physics.dot`); beyond it they run one after the
+    other on one N scratch.
     """
     sigma2 = params.noise_var()
     a = params.amplitude()
     m0 = abs(a * math.cos(theta - psi))
     m1 = abs(a * math.cos(cand - psi))
-    t = np.empty_like(abs_x)
-    soft = _soft_sum(abs_x, m1, sigma2, t) - _soft_sum(abs_x, m0, sigma2, t)
+    if len(abs_x) <= _ONE_PASS_MAX:
+        t = np.multiply.outer((-2.0 * m1 / sigma2, -2.0 * m0 / sigma2), abs_x)
+        s1, s0 = np.add.reduce(np.log1p(np.exp(t, out=t), out=t), axis=1).tolist()
+        soft = s1 - s0
+    else:
+        t = np.empty_like(abs_x)
+        soft = _soft_sum(abs_x, m1, sigma2, t) - _soft_sum(abs_x, m0, sigma2, t)
     return soft + (m1 - m0) * (2.0 * sum_abs_x - len(abs_x) * (m1 + m0)) / (2.0 * sigma2)
 
 
@@ -324,6 +339,7 @@ def run_em(
     a = params.amplitude()
     sigma2 = params.noise_var()
     x = block.x
+    n = len(x)
     theta = psi if config.init_theta is None else float(config.init_theta)
     thetas = []
     converged = False
@@ -333,7 +349,7 @@ def run_em(
         mu = a * math.cos(theta - psi)
         t = np.multiply(x, mu / sigma2, out=t)
         s = float(dot(np.tanh(t, out=t), x, out=t))
-        theta_new = _m_step(s, block.n, a, psi, theta)
+        theta_new = _m_step(s, n, a, psi, theta)
         thetas.append(theta_new)
         step = theta_new - theta
         theta = theta_new
@@ -345,27 +361,40 @@ def run_em(
     # reducing by an odd multiple of pi swaps the component labels, and the
     # returned hard decisions must reflect the labeling EM actually converged
     # to (the caller resolves the ambiguity).  With antipodal means
-    # gamma_0 = expit(z) and gamma_1 = expit(-z), z = 2*mu*x/s2, so the
+    # gamma_0 = expit(z) and gamma_1 = expit(-z), z = k*x, k = 2*mu/s2, so the
     # argmax is label 1 exactly where expit(-z) > expit(z): wherever z < 0,
     # except for |z| < _TIE_BAND, where both may round to the same value and
     # the responsibilities themselves decide.  expit is monotone, so the
     # largest |gamma_0 - 1/2| sits at the extreme z, and |z| >= 1 there puts
-    # it beyond expit(1) - 1/2 > 0.23, far from flat.  The comparison z < 0
-    # writes the int64 decisions directly, and |z| goes to the scratch.
+    # it beyond expit(1) - 1/2 > 0.23, far from flat.  Rounding is monotone
+    # and symmetric in sign, so min|z| = |k|*min|x| and max|z| = |k|*max|x|
+    # exactly; when neither a tie nor the flat test can arise, z < 0 is the
+    # sign of x against that of k and z is never formed.  One |z_0| >= 1
+    # already rules the flat test out, so max|x| is read only when it fails.
     theta_hat = canonical_phase(theta)
-    z = x * (2.0 * a * math.cos(theta - psi) / sigma2)
-    s_hat = np.empty(len(z), dtype=np.int64)
-    np.less(z, 0.0, out=s_hat)
-    np.abs(z, out=t)
-    if t.min() < _TIE_BAND:
+    k = 2.0 * a * math.cos(theta - psi) / sigma2
+    ax = np.abs(x, out=t)
+    ak = abs(k)
+    if ak * ax.min() >= _TIE_BAND and (ak * ax[0] >= 1.0 or ak * ax.max() >= 1.0):
+        s_hat = (x < 0.0 if k > 0.0 else x > 0.0).astype(np.int64)
+        flat = False
+        z = None
+    else:
+        z = x * k
+        s_hat = (z < 0.0).astype(np.int64)
         tie = np.flatnonzero((z < 0.0) & (z > -_TIE_BAND))
         zt = z[tie]
         s_hat[tie] = expit(-zt) > expit(zt)
-    flat = bool(t.max() < 1.0 and max(abs(expit(z.max()) - 0.5),
-                                      abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
+        flat = bool(np.abs(z, out=t).max() < 1.0 and max(
+            abs(expit(z.max()) - 0.5), abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
+
+    def responsibilities():
+        zr = x * k if z is None else z
+        return np.column_stack([expit(zr), expit(-zr)])
+
     return EmResult(
         theta_hat=theta_hat,
-        responsibilities=lambda: np.column_stack([expit(z), expit(-z)]),
+        responsibilities=responsibilities,
         s_hat=s_hat,
         loglik_trace=lambda: np.array([loglik(block, params, psi, th) for th in thetas]),
         iterations=len(thetas),

@@ -13,6 +13,19 @@ point's trace is bit-identical to that point run alone; the point estimates
 are correlated across gamma fractions (their differences are less noisy
 than independent runs would give), while each point's ``ber_stderr``, taken
 over its own independent trials, is unaffected.
+
+Such a group (one trial of the points of one N, or one trial alone) owns
+the arrays its blocks are made in: one x, and for more than one point one
+draw of symbols and unit normals, written in place each iteration through
+the ``out`` arguments of :func:`qisac.physics.draw_block` and
+:func:`qisac.physics.sample_block`.  The points step one at a time and
+keep nothing of a block past their step (see
+:func:`qisac.controller.qisac_steps`), so one set serves the whole group;
+the lazy ``responsibilities`` and ``loglik_trace`` of an EM result read
+the block when first accessed, so they hold only within its iteration.
+A loop with ``block_refresh`` off keeps its one block for the whole run and
+gets fresh arrays; so does a caller's own ``block_source`` in
+:func:`qisac.controller.run_qisac`, whose blocks are only read.
 """
 
 from __future__ import annotations
@@ -203,15 +216,22 @@ def _lockstep(
     The specs share their seed and block length, so block t of the trial has
     the same symbols and unit normals in each: the loops advance one outer
     iteration at a time in turn, the first to reach iteration t draws its
-    block once into a one-slot cache keyed by t, and every loop composes its
-    own block from that draw through ``sample_block``, bit-identical to
-    drawing it alone.  A group of one has nothing to share and passes each
-    block's seed instead.  A loop that raises QisacError ends there; the
-    others go on.
+    block once, and every loop composes its own block from that draw through
+    ``sample_block``, bit-identical to drawing it alone.  A group of one has
+    nothing to share and draws each block straight into x.  The draw and x
+    live in buffers the group owns (see the module docstring); a loop with
+    ``block_refresh`` off holds its one block for the whole run, so it gets
+    a block of fresh arrays instead.  A loop that raises QisacError ends
+    there; the others go on.
     """
     seed_t = trial_seed(specs[0].seed, index)
     n = specs[0].n_block
     seeds: list[BlockSeed] = []   # seeds[t] keys block t as trial_seed(seed_t, t)
+    x_buf = np.empty(n)           # x of the block the stepping loop reads
+    # symbols and unit normals of the latest draw: every loop has stepped
+    # past iteration t - 1 when one draws block t, so no block still being
+    # read is overwritten
+    draw_buf = (np.empty(n, np.int64), np.empty(n)) if len(specs) > 1 else None
     slot: list = [-1, None]       # (t, draw) of the latest block
 
     def seed_at(t: int) -> BlockSeed:
@@ -221,25 +241,22 @@ def _lockstep(
 
     def shared(t: int) -> BlockDraw:
         if slot[0] != t:
-            slot[1] = None   # drop the old draw before the next is made
-            slot[:] = t, draw_block(n, seed_at(t))
+            slot[:] = t, draw_block(n, seed_at(t), out=draw_buf)
         return slot[1]
 
-    def source_of(params: ChannelParams):
-        if len(specs) == 1:   # nothing to share: the block is drawn and composed in one step
+    def source_of(params: ChannelParams, refresh: bool):
+        if not refresh:
             return lambda psi, t: sample_block(params, psi, n, seed_at(t))
-        return lambda psi, t: sample_block(params, psi, n, shared(t))
+        if draw_buf is None:
+            return lambda psi, t: sample_block(params, psi, n, seed_at(t), out=x_buf)
+        return lambda psi, t: sample_block(params, psi, n, shared(t), out=x_buf)
 
-    loops = {k: qisac_steps(source_of(sp.params), sp.params, sp.algo)
+    loops = {k: qisac_steps(source_of(sp.params, sp.algo.block_refresh), sp.params, sp.algo)
              for k, sp in enumerate(specs)}
     while loops:
         for k in list(loops):
             try:
-                # the decisions a step returns live on until the next step
-                # has run: at large N they sit at the top of the heap, and
-                # freeing them at once would let malloc return the pages that
-                # every step then faults back in
-                decisions = next(loops[k])  # noqa: F841
+                next(loops[k])
             except StopIteration as stop:
                 del loops[k]
                 yield k, stop.value

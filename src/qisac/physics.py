@@ -120,12 +120,26 @@ class ObservationBlock:
     def n(self) -> int:
         return len(self.x)
 
+    @classmethod
+    def _unchecked(cls, x: np.ndarray, s_true: np.ndarray, seed: int) -> ObservationBlock:
+        """A block of arrays known to be valid: 1-D float64 x and int64 s_true of one length N >= 1.
+
+        Skips the conversions and checks of ``__post_init__``, which
+        :func:`sample_block` would pay on every block for arrays it made.
+        """
+        blk = object.__new__(cls)
+        blk.__dict__.update(x=x, s_true=s_true, seed=seed)
+        return blk
+
 
 def block_means(params: ChannelParams, psi: float, theta: float | None = None) -> np.ndarray:
-    """Both symbol means [mu_0, mu_1] at phase ``theta`` (default: params.theta)."""
+    """Both symbol means [mu_0, mu_1] at phase ``theta`` (default: params.theta).
+
+    A * cos(phi_m + theta - psi), with the phase sums formed in Python floats,
+    whose + and - round as numpy's do.
+    """
     th = params.theta if theta is None else theta
-    a = params.amplitude()
-    return a * np.cos(np.array([0.0, np.pi]) + th - psi)
+    return params.amplitude() * np.cos([(0.0 + th) - psi, (math.pi + th) - psi])
 
 
 def block_mean_derivs(params: ChannelParams, psi: float, theta: float | None = None) -> np.ndarray:
@@ -280,8 +294,10 @@ class BlockDraw:
         return len(self.z)
 
 
-def _draw(n: int, seed: int | BlockSeed) -> tuple[int, np.ndarray, np.ndarray]:
-    """(key, symbols, unit normals) of :func:`draw_block`, as fresh writable arrays."""
+def _draw(
+    n: int, seed: int | BlockSeed, s_out=None, z_out=None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(key, symbols, unit normals) of :func:`draw_block`, in ``s_out`` and ``z_out`` or fresh."""
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if isinstance(seed, BlockSeed):
@@ -290,11 +306,16 @@ def _draw(n: int, seed: int | BlockSeed) -> tuple[int, np.ndarray, np.ndarray]:
         key = seed = int(seed) & _MASK64
     bits = SFC64(seed)
     words = bits.random_raw(-(-n // 64)).astype("<u8", copy=False)
-    s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little").astype(np.int64)
-    return key, s, Generator(bits).standard_normal(n)
+    s = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    if s_out is None:
+        s = s.astype(np.int64)
+    else:
+        np.copyto(s_out, s)
+        s = s_out
+    return key, s, Generator(bits).standard_normal(n, out=z_out)
 
 
-def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
+def draw_block(n: int, seed: int | BlockSeed, *, out=None) -> BlockDraw:
     """Draw the symbols and unit normals of a block of ``n`` outcomes.
 
     One SFC64 generator keyed by ``seed & (2**64 - 1)`` first yields
@@ -302,15 +323,27 @@ def draw_block(n: int, seed: int | BlockSeed) -> BlockDraw:
     from little-endian bytes on any host, are the symbols; the same generator
     then draws n standard normals.  ``seed`` may also be a :class:`BlockSeed`,
     whose precomputed words key the generator exactly as its ``key`` would.
+    ``out`` may name a pair of writable C-contiguous arrays of length ``n``,
+    int64 and float64, that receive the symbols and the normals instead of
+    fresh arrays (``standard_normal(out=)`` draws the same bits); the draw
+    then holds read-only views of them, valid until their owner writes them
+    again.
     """
-    key, s, z = _draw(n, seed)
+    key, s, z = _draw(n, seed, *(out or ()))
+    if out is not None:
+        s, z = s.view(), z.view()
     s.flags.writeable = False
     z.flags.writeable = False
     return BlockDraw(key, s, z)
 
 
 def sample_block(
-    params: ChannelParams, psi: float, n: int, seed: int | BlockSeed | BlockDraw
+    params: ChannelParams,
+    psi: float,
+    n: int,
+    seed: int | BlockSeed | BlockDraw,
+    *,
+    out: np.ndarray | None = None,
 ) -> ObservationBlock:
     """Draw a block of ``n`` homodyne outcomes at LO phase ``psi``.
 
@@ -325,14 +358,18 @@ def sample_block(
     :class:`BlockDraw` already drawn for length ``n``.  Blocks composed from
     one draw share it: the sweep points of one trial draw block t once and
     compose it per channel (common random numbers), and their ``s_true`` is
-    that draw's read-only symbol array.
+    that draw's read-only symbol array.  ``out`` may name a writable
+    float64 array of length ``n`` that receives ``x`` (the block's ``x`` is
+    then ``out`` itself; a draw of the block's own draws its normals into
+    it), with the bits of a fresh ``x``.
     """
+    sigma = math.sqrt(params.noise_var())
     if isinstance(seed, BlockDraw):
         if seed.n != n:
             raise ValueError(f"block length {n} does not match the draw's {seed.n}")
-        key, s, x = seed.key, seed.s_true, seed.z * math.sqrt(params.noise_var())
+        key, s, x = seed.key, seed.s_true, np.multiply(seed.z, sigma, out=out)
     else:   # a draw of its own, composed in place
-        key, s, x = _draw(n, seed)
-        x *= math.sqrt(params.noise_var())
+        key, s, x = _draw(n, seed, z_out=out)
+        x *= sigma
     x += block_means(params, psi).take(s)
-    return ObservationBlock(x=x, s_true=s, seed=key)
+    return ObservationBlock._unchecked(x, s, key)

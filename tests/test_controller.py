@@ -12,6 +12,7 @@ from qisac import (
     EmConfig,
     ber_theory,
     fc_max,
+    fisher_symbol,
     run_qisac,
     sample_block,
     select_target,
@@ -226,9 +227,12 @@ def test_run_qisac_trace_shapes_and_theory_column(params_common):
                 trace.ber_theory, trace.flipped):
         assert len(arr) == n
     assert len(trace.target) == n
-    # theory column is exactly the analytic rate at the true phase
+    # theory column is exactly the analytic rate at the true phase, and the
+    # information column is exactly the block information at the estimate
     for t in range(n):
         assert trace.ber_theory[t] == ber_theory(params_common, trace.psi[t])
+        at_estimate = replace(params_common, theta=float(trace.theta_hat[t]))
+        assert trace.fc[t] == fisher_symbol(at_estimate, trace.psi[t], n=400).block
     assert trace.s_hat_final.shape == (400,)
     assert 0.0 <= trace.psi_final < np.pi
 
@@ -303,6 +307,32 @@ def test_suspended_loop_holds_no_block_or_decisions(params_common, monkeypatch, 
             assert a.tobytes() == b.tobytes() and a.dtype == b.dtype, f.name
         else:
             assert a == b, f.name
+
+
+def test_callers_hold_no_decisions_between_steps(params_common, monkeypatch):
+    # run_qisac and the lockstep harness drop each step's s_hat as soon as
+    # the step returns it: when EM starts on the next block, every earlier
+    # s_hat is gone
+    import qisac.montecarlo as mc
+
+    decisions = []
+    real_em = controller.run_em
+
+    def em(*args, **kwargs):
+        assert all(r() is None for r in decisions)
+        res = real_em(*args, **kwargs)
+        decisions.append(weakref.ref(res.s_hat))
+        return res
+
+    monkeypatch.setattr(controller, "run_em", em)
+    cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=6, psi0=0.5)
+    run_qisac(lambda psi, t: sample_block(params_common, psi, 300, seed=700 + t),
+              params_common, cfg)
+    assert len(decisions) == 6
+    decisions.clear()
+    spec = mc.ExperimentSpec(params=params_common, algo=cfg, n_block=300, trials=1, seed=5)
+    mc._single_trial(spec, 0)
+    assert len(decisions) == 6
 
 
 def test_run_qisac_flip_indicator_consistency(params_common):

@@ -13,7 +13,7 @@ from qisac.em import (
     m_step_objective,
     reflection_margin,
 )
-from qisac.em import _FLAT_RESP_TOL, _TIE_BAND
+from qisac.em import _FLAT_RESP_TOL, _ONE_PASS_MAX, _TIE_BAND
 from qisac.physics import ObservationBlock, block_means, canonical_phase, expit
 
 
@@ -480,6 +480,57 @@ def test_run_em_and_reflection_margin_match_plain_formulas():
         assert reflection_margin(abs_x, sum_abs, params, psi, theta_hat, cand) == plain, k
     assert 0 < flats < 120
     assert ties > 0
+
+
+def test_run_em_matches_plain_formulas_at_the_quarter_turn_and_for_one_outcome():
+    # the decisions come from the sign of x unless a tie or the flat test
+    # needs z = k*x.  cos of a double is never exactly 0, so k = 0 itself
+    # cannot arise; the nearest case is an estimate pinned at the quarter turn
+    # (S = 0 on an all-zero block, or a start there), where k ~ 1e-16 and
+    # every |z| sits inside the tie band.  Blocks of one outcome cover the
+    # extreme and tie readings of a single |x|.
+    rng = np.random.default_rng(77)
+    params = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.6)
+    cases = []
+    for psi in (0.0, 0.4, np.pi / 2, 2.9):
+        quarter = psi + np.pi / 2
+        cases += [(np.zeros(17), psi, None), (np.zeros(1), psi, quarter),
+                  (rng.standard_normal(40), psi, quarter),
+                  (np.array([0.0, -0.0, 5e-324, -1e-300, 2.0, -3.0]), psi, quarter)]
+        for v in (0.0, -0.0, 5e-324, -5e-324, -1e-13, 1e-13, -0.3, 0.3, -7.5, 7.5):
+            cases += [(np.array([v]), psi, None), (np.array([v]), psi, quarter),
+                      (np.array([v]), psi, float(rng.uniform(0.0, np.pi)))]
+    flats = 0
+    for k, (x, psi, init) in enumerate(cases):
+        cfg = EmConfig(init_theta=init)
+        res = run_em(_block(x), params, psi, cfg)
+        theta_hat, s_hat, flat = _run_em_formulas(x, params, psi, cfg)
+        assert res.theta_hat == theta_hat, k
+        assert res.s_hat.dtype == np.int64 and np.array_equal(res.s_hat, s_hat), k
+        assert res.flat_likelihood == flat, k
+        flats += flat
+        # the responsibilities, built on demand, agree with the decisions
+        g = res.responsibilities
+        assert np.array_equal(res.s_hat, (g[:, 1] > g[:, 0]).astype(np.int64)), k
+    assert 0 < flats < len(cases)
+
+
+def test_reflection_margin_matches_plain_formula_on_both_sides_of_one_pass_max():
+    # up to _ONE_PASS_MAX outcomes the two soft terms run as one (2, N) pass,
+    # beyond it as two 1-D passes; each gives the bits of the plain formula
+    rng = np.random.default_rng(515)
+    for n in (1, 2, _ONE_PASS_MAX - 1, _ONE_PASS_MAX, _ONE_PASS_MAX + 1, 50000):
+        params = ChannelParams(E=float(rng.uniform(0.5, 50.0)), eta=0.8,
+                               Na=float(rng.uniform(0.0, 3.0)), theta=float(rng.uniform(0.0, np.pi)))
+        psi, theta, cand = (float(v) for v in rng.uniform(0.0, np.pi, 3))
+        abs_x = np.abs(sample_block(params, psi, n, seed=int(rng.integers(1 << 62))).x)
+        sum_abs = float(abs_x.sum())
+        s2, a = params.noise_var(), params.amplitude()
+        m0, m1 = abs(a * math.cos(theta - psi)), abs(a * math.cos(cand - psi))
+        soft = (float(np.log1p(np.exp(abs_x * (-2.0 * m1 / s2))).sum())
+                - float(np.log1p(np.exp(abs_x * (-2.0 * m0 / s2))).sum()))
+        plain = soft + (m1 - m0) * (2.0 * sum_abs - n * (m1 + m0)) / (2.0 * s2)
+        assert reflection_margin(abs_x, sum_abs, params, psi, theta, cand) == plain, n
 
 
 def test_em_config_validation():

@@ -442,16 +442,18 @@ def test_lockstep_draws_each_block_once_and_shares_read_only_symbols(params_comm
                                                                       monkeypatch):
     # two points of one block length: one draw per outer iteration, one
     # composed block per point per iteration, and a block's symbols (shared
-    # with its sibling) cannot be written
-    draws, blocks = [], []
+    # with its sibling) cannot be written.  The draw and x live in buffers
+    # the group reuses, so each block's x is read as it is composed
+    draws, blocks, xs = [], [], []
     real_draw, real_sample = mc.draw_block, mc.sample_block
 
-    def draw(n, seed):
+    def draw(n, seed, **kw):
         draws.append(seed.key)
-        return real_draw(n, seed)
+        return real_draw(n, seed, **kw)
 
-    def sample(params, psi, n, seed):
-        blocks.append(real_sample(params, psi, n, seed))
+    def sample(params, psi, n, seed, **kw):
+        blocks.append(real_sample(params, psi, n, seed, **kw))
+        xs.append(blocks[-1].x.tobytes())
         with pytest.raises(ValueError):
             blocks[-1].s_true[0] ^= 1
         return blocks[-1]
@@ -468,7 +470,77 @@ def test_lockstep_draws_each_block_once_and_shares_read_only_symbols(params_comm
     for t in range(5):
         a, b = blocks[2 * t], blocks[2 * t + 1]
         assert a.s_true is b.s_true
-        assert a.x.tobytes() != b.x.tobytes()
+        assert xs[2 * t] != xs[2 * t + 1]
+
+
+def test_sweep_with_block_refresh_off_matches_points_run_alone(params_common):
+    # a loop with block_refresh off holds its one block for the whole run,
+    # so it must not sit in the buffers its group rewrites every iteration
+    spec = replace(_spec(params_common, trials=2, t_max=12, block_refresh=False),
+                   sweep=((0.2, 3.0, 250), (0.8, 1.0, 250)))
+    curve = run_tradeoff_sweep(spec)
+    specs = []
+    for j, entry in enumerate(spec.sweep):
+        spec_j, point = _point_alone(spec, entry)
+        assert curve.points[j] == point, j
+        specs.append(spec_j)
+    for i in range(spec.trials):
+        done = dict(mc._lockstep(specs, i))
+        for k, spec_k in enumerate(specs):
+            _assert_same_trace(done[k], mc._single_trial(spec_k, i), (i, k))
+
+
+def test_traces_share_no_memory_with_the_lockstep_buffers(params_common, monkeypatch):
+    # the group's draw and x buffers are rewritten by later iterations,
+    # trials and points; nothing a trace keeps may live in them
+    buffers = []
+    real_draw, real_sample = mc.draw_block, mc.sample_block
+
+    def draw(n, seed, out=None):
+        buffers.extend(out)
+        return real_draw(n, seed, out=out)
+
+    def sample(params, psi, n, seed, out=None):
+        buffers.append(out)
+        return real_sample(params, psi, n, seed, out=out)
+
+    monkeypatch.setattr(mc, "draw_block", draw)
+    monkeypatch.setattr(mc, "sample_block", sample)
+    spec = _spec(params_common, trials=3, n_block=200, t_max=6)
+    group = [replace(spec, params=replace(spec.params, Na=na)) for na in (3.0, 1.0)]
+    kept = []   # (trace, bytes of s_hat_final as it ended)
+    for i in range(spec.trials):
+        for specs in (group, group[:1]):
+            for _, tr in mc._lockstep(specs, i):
+                kept.append((tr, tr.s_hat_final.tobytes()))
+    assert buffers and all(b is not None for b in buffers)
+    assert len(kept) == 3 * spec.trials
+    for tr, final in kept:
+        assert tr.s_hat_final.tobytes() == final
+        for arr in (tr.s_hat_final, tr.theta_hat, tr.psi, tr.fc, tr.ber_emp):
+            assert not any(np.shares_memory(arr, b) for b in buffers)
+
+
+def test_caller_block_source_arrays_are_never_written(params_common):
+    # ObservationBlock is public: a caller's blocks are read, never reused
+    # as scratch, whether refreshed each iteration or reused throughout
+    for refresh in (True, False):
+        blocks, copies = [], []
+
+        def source(psi, t):
+            blk = sample_block(params_common, psi, 300, seed=900 + t)
+            blk.x.flags.writeable = False
+            blk.s_true.flags.writeable = False
+            blocks.append(blk)
+            copies.append((blk.x.tobytes(), blk.s_true.tobytes()))
+            return blk
+
+        cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=8, psi0=0.7,
+                         block_refresh=refresh)
+        trace = run_qisac(source, params_common, cfg)
+        assert len(trace) == 8 and len(blocks) == (8 if refresh else 1)
+        for blk, (x, s) in zip(blocks, copies):
+            assert (blk.x.tobytes(), blk.s_true.tobytes()) == (x, s)
 
 
 def test_sweep_point_whose_trials_all_fail_raises(params_common, monkeypatch):

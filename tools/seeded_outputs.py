@@ -2,9 +2,8 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tools/seeded_outputs.py --out change.json
     PYTHONPATH=<other tree>/src python3 tools/seeded_outputs.py --out parent.json
-    diff parent.json change.json
+    PYTHONPATH=src python3 tools/seeded_outputs.py --check parent.json
 
 It runs ``qisac.cli.main`` in this process, with ``QISAC_SEED`` unset and
 into a temporary directory, on:
@@ -12,12 +11,19 @@ into a temporary directory, on:
 - ``run`` on ``configs/convergence_theta45.json`` and
   ``configs/convergence_theta60.json``,
 - ``sweep`` on ``configs/tradeoff_theta30.json``,
+- ``sweep`` in the shape of the benchmark's ``sweep_n50k`` workload
+  (``SWEEP_N50K``: N = 50000, gamma fractions 0.1 / 0.5 / 0.9, 2 trials,
+  t_max 20, seed 2001), the only one whose sweep points share block draws at
+  a large N,
 - ``analytics`` with its defaults,
 
 and writes the digest of each file they write, keyed by
-``<command>_<config>/<file>`` (``analytics/<file>`` for analytics).  Every
-run takes the seed its config gives, so two trees that compute the same
-numbers write the same digests.  Results are bit-identical only within one
+``<command>_<config>/<file>`` (``sweep_n50k/<file>`` and
+``analytics/<file>`` for the last two).  Every run takes the seed its config
+gives, so two trees that compute the same numbers write the same digests.
+``--check FILE`` compares the digests with those FILE holds, lists every key
+whose digest differs (or that only one side has) and exits with status 1 if
+there is one.  Results are bit-identical only within one
 numpy version (see README, "Command line"), so the Python and numpy versions
 are written beside the digests.
 
@@ -34,6 +40,7 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,6 +55,12 @@ RUNS = (
     ("run", "convergence_theta60.json"),
     ("sweep", "tradeoff_theta30.json"),
 )
+SWEEP_N50K = {
+    "channel": {"E": 10, "eta": 0.8, "Na": 3, "theta_deg": 30},
+    "algo": {"gamma_frac": 0.0, "lambda": 0.015, "eps": 0.0, "t_max": 20, "psi0_deg": 90},
+    "experiment": {"n_block": 50000, "trials": 2, "seed": 2001},
+    "sweep": [[0.1, 3, 50000], [0.5, 3, 50000], [0.9, 3, 50000]],
+}
 
 
 def digests(trials: int | None = None, t_max: int | None = None) -> dict[str, str]:
@@ -57,15 +70,17 @@ def digests(trials: int | None = None, t_max: int | None = None) -> dict[str, st
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             commands = {"analytics": ["analytics"]}
-            for command, name in RUNS:
-                doc = json.loads((CONFIGS / name).read_text())
+            docs = [(f"{command}_{Path(name).stem}", command,
+                     json.loads((CONFIGS / name).read_text())) for command, name in RUNS]
+            docs.append(("sweep_n50k", "sweep", json.loads(json.dumps(SWEEP_N50K))))
+            for label, command, doc in docs:
                 if trials is not None:
                     doc["experiment"]["trials"] = trials
                 if t_max is not None:
                     doc["algo"]["t_max"] = t_max
-                cfg = tmp / name
+                cfg = tmp / f"{label}.json"
                 cfg.write_text(json.dumps(doc))
-                commands[f"{command}_{cfg.stem}"] = [command, str(cfg)]
+                commands[label] = [command, str(cfg)]
             out = {}
             for label, argv in commands.items():
                 out_dir = tmp / "out" / label
@@ -80,12 +95,27 @@ def digests(trials: int | None = None, t_max: int | None = None) -> dict[str, st
             os.environ["QISAC_SEED"] = saved
 
 
+def differing(got: dict[str, str], ref: dict[str, str]) -> list[str]:
+    """The keys whose digest differs between ``got`` and ``ref``, or that only one has."""
+    return sorted(k for k in got.keys() | ref.keys() if got.get(k) != ref.get(k))
+
+
 def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--out", type=Path, default=None, help="JSON file to write")
+    ap.add_argument("--check", type=Path, default=None,
+                    help="JSON file of this tool to compare with; exit 1 on any difference")
     ap.add_argument("--trials", type=int, default=None, help="trials in every config")
     ap.add_argument("--t-max", type=int, default=None, help="t_max in every config")
     args = ap.parse_args(argv)
+    if args.out is None and args.check is None:
+        ap.error("give --out, --check or both")
+    ref = None
+    if args.check is not None:
+        ref = json.loads(args.check.read_text())
+        if (ref["trials"], ref["t_max"]) != (args.trials, args.t_max):
+            ap.error(f"{args.check} was made with --trials {ref['trials']} --t-max "
+                     f"{ref['t_max']}; digests of other sizes are not comparable")
     doc = {
         "qisac": qisac.__version__,
         "python": platform.python_version(),
@@ -94,9 +124,17 @@ def main(argv: list[str] | None = None) -> dict:
         "t_max": args.t_max,
         "sha256": digests(args.trials, args.t_max),
     }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    if args.out is not None:
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, digest in doc["sha256"].items():
         print(f"{digest}  {name}")
+    if ref is not None:
+        diff = differing(doc["sha256"], ref["sha256"])
+        for key in diff:
+            print(f"differs from {args.check}: {key}")
+        if diff:
+            sys.exit(1)
+        print(f"all {len(doc['sha256'])} digests match {args.check}")
     return doc
 
 
