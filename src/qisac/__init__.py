@@ -17,6 +17,7 @@ from .analytics import (
     ber_theory,
     fc_max,
     fisher_argmax,
+    fisher_block,
     fisher_high_snr,
     fisher_symbol,
     fisher_symbol_mc,
@@ -70,6 +71,7 @@ __all__ = [
     "e_step",
     "fc_max",
     "fisher_argmax",
+    "fisher_block",
     "fisher_high_snr",
     "fisher_symbol",
     "fisher_symbol_mc",

@@ -59,6 +59,7 @@ __all__ = [
     "q_function",
     "ber_theory",
     "fisher_symbol",
+    "fisher_block",
     "fisher_symbol_mc",
     "fisher_high_snr",
     "fisher_argmax",
@@ -351,6 +352,17 @@ def fisher_symbol(params: ChannelParams, psi: float, n: int = 1) -> FisherReport
     return FisherReport(
         per_symbol=f, block=n * f, n=n, quad_nodes=_H_NODES, quad_error_est=f * _H_RTOL
     )
+
+
+def fisher_block(a: float, sigma2: float, phi: float, n: int) -> float:
+    """Block Fisher information n * F at offset ``phi`` = theta - psi, from A and sigma^2.
+
+    The ``block`` of :func:`fisher_symbol` bit for bit, for a channel whose
+    ``amplitude()`` is ``a`` and ``noise_var()`` is ``sigma2``, without a
+    ChannelParams or a report per call: the control loop reads it once per
+    outer iteration from its run's constants.
+    """
+    return n * _fisher(a, sigma2, phi)
 
 
 def fisher_symbol_mc(params: ChannelParams, psi: float, trials: int, seed: int) -> float:

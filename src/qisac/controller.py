@@ -38,9 +38,9 @@ but that copy of the anchor's |x| (and the block itself when
 ``block_refresh`` is off).  So a caller's ``block_source`` keeps its own
 arrays untouched, and the trial harness (:mod:`qisac.montecarlo`) can hand
 out blocks made in buffers it reuses every iteration.  Per iteration the
-loop evaluates F_c = N * F and the BER of ML detection from the run's
-constants A, sigma^2 and A/sigma, with the bits of
-:func:`qisac.analytics.fisher_symbol` and :func:`qisac.analytics.ber_theory`.
+loop reads F_c = N * F through :func:`qisac.analytics.fisher_block` from the
+run's constants A and sigma^2, with the bits of
+:func:`qisac.analytics.fisher_symbol`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from .analytics import _fisher, fc_max, optimal_angles, q_function
+from .analytics import ber_theory, fc_max, fisher_block, optimal_angles
 from .em import EmConfig, reflection_margin, run_em
 from .errors import QisacError
 from .physics import ChannelParams, ObservationBlock, canonical_phase
@@ -245,11 +245,7 @@ def qisac_steps(
     lam, eps, refresh = config.lam, config.eps, config.block_refresh
     em_cfg = config.em
     em_eps, em_lmax = em_cfg.eps, em_cfg.l_max
-    # run-level constants of F = N * _fisher(A, s2, theta_hat - psi), which is
-    # fisher_symbol(...).block bit for bit, and of the BER of ber_theory,
-    # Q(A/sigma * |cos(theta - psi)|)
-    a, sigma2, theta = params.amplitude(), params.noise_var(), params.theta
-    a_sigma = a / math.sqrt(sigma2)
+    a, sigma2 = params.amplitude(), params.noise_var()
     block = None
     block_psi = 0.0
     block_t = 0   # iteration the current block was drawn at
@@ -291,7 +287,7 @@ def qisac_steps(
                 )
             em_cfg = EmConfig(em_eps, em_lmax, theta_hat)
 
-            fc = n * _fisher(a, sigma2, theta_hat - psi)
+            fc = fisher_block(a, sigma2, theta_hat - psi, n)
             ber_emp, flipped = score_ber(decided[0], block.s_true)
             kind, psi_tar = select_target(fc, gamma, theta_hat)
 
@@ -299,14 +295,14 @@ def qisac_steps(
             psi_l.append(psi)
             fc_l.append(fc)
             bemp_l.append(ber_emp)
-            bth_l.append(q_function(a_sigma * abs(math.cos(theta - psi))))
+            bth_l.append(ber_theory(params, psi))
             targ_l.append(kind)
             flip_l.append(flipped)
             margin_l.append(margin)
             adopt_l.append(margin > _FLIP_EVIDENCE)
 
             dpsi = wrap_pi(psi_tar - psi)
-            psi = canonical_phase(psi + lam * dpsi)   # update_psi(psi, psi_tar, lam)
+            psi = update_psi(psi, psi_tar, lam)
             if anchor_t < 0 or abs(math.sin(2.0 * (block_psi - psi))) > abs(
                 math.sin(2.0 * (anchor_psi - psi))
             ):

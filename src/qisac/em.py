@@ -327,7 +327,11 @@ def run_em(
     estimate is reduced to [0, pi), while the responsibilities and hard
     decisions are evaluated at the unreduced converged angle, so they keep
     the labeling EM actually converged to; s_hat is always the argmax of the
-    returned responsibilities.
+    returned responsibilities.  The result's lazy ``responsibilities`` and
+    ``loglik_trace`` read ``block.x`` when first accessed, so they are valid
+    only while ``block.x`` is unchanged: read them before the block's arrays
+    are written again (the trial harness of :mod:`qisac.montecarlo` rewrites
+    its x buffer every iteration).
 
     A single block identifies the phase only up to reflection about the LO
     phase: the outcome density is even in the offset theta - psi, so theta

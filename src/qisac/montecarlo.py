@@ -15,8 +15,8 @@ than independent runs would give), while each point's ``ber_stderr``, taken
 over its own independent trials, is unaffected.
 
 Such a group (one trial of the points of one N, or one trial alone) owns
-the arrays its blocks are made in: one x, and for more than one point one
-draw of symbols and unit normals, written in place each iteration through
+the arrays its blocks are made in: one x, and for more than one refreshing
+point one draw of symbols and unit normals, written in place each iteration through
 the ``out`` arguments of :func:`qisac.physics.draw_block` and
 :func:`qisac.physics.sample_block`.  The points step one at a time and
 keep nothing of a block past their step (see
@@ -24,7 +24,7 @@ keep nothing of a block past their step (see
 the lazy ``responsibilities`` and ``loglik_trace`` of an EM result read
 the block when first accessed, so they hold only within its iteration.
 A loop with ``block_refresh`` off keeps its one block for the whole run and
-gets fresh arrays; so does a caller's own ``block_source`` in
+gets fresh arrays (a group of such loops makes no buffers); so does a caller's own ``block_source`` in
 :func:`qisac.controller.run_qisac`, whose blocks are only read.
 """
 
@@ -217,9 +217,10 @@ def _lockstep(
     the same symbols and unit normals in each: the loops advance one outer
     iteration at a time in turn, the first to reach iteration t draws its
     block once, and every loop composes its own block from that draw through
-    ``sample_block``, bit-identical to drawing it alone.  A group of one has
-    nothing to share and draws each block straight into x.  The draw and x
-    live in buffers the group owns (see the module docstring); a loop with
+    ``sample_block``, bit-identical to drawing it alone.  A group with one
+    refreshing loop has nothing to share and draws each block straight into
+    x.  The draw and x live in buffers the group owns (see the module
+    docstring), made only when a loop will read them: a loop with
     ``block_refresh`` off holds its one block for the whole run, so it gets
     a block of fresh arrays instead.  A loop that raises QisacError ends
     there; the others go on.
@@ -227,11 +228,12 @@ def _lockstep(
     seed_t = trial_seed(specs[0].seed, index)
     n = specs[0].n_block
     seeds: list[BlockSeed] = []   # seeds[t] keys block t as trial_seed(seed_t, t)
-    x_buf = np.empty(n)           # x of the block the stepping loop reads
+    refreshing = sum(sp.algo.block_refresh for sp in specs)
+    x_buf = np.empty(n) if refreshing else None   # x of the block the stepping loop reads
     # symbols and unit normals of the latest draw: every loop has stepped
     # past iteration t - 1 when one draws block t, so no block still being
     # read is overwritten
-    draw_buf = (np.empty(n, np.int64), np.empty(n)) if len(specs) > 1 else None
+    draw_buf = (np.empty(n, np.int64), np.empty(n)) if refreshing > 1 else None
     slot: list = [-1, None]       # (t, draw) of the latest block
 
     def seed_at(t: int) -> BlockSeed:

@@ -120,17 +120,6 @@ class ObservationBlock:
     def n(self) -> int:
         return len(self.x)
 
-    @classmethod
-    def _unchecked(cls, x: np.ndarray, s_true: np.ndarray, seed: int) -> ObservationBlock:
-        """A block of arrays known to be valid: 1-D float64 x and int64 s_true of one length N >= 1.
-
-        Skips the conversions and checks of ``__post_init__``, which
-        :func:`sample_block` would pay on every block for arrays it made.
-        """
-        blk = object.__new__(cls)
-        blk.__dict__.update(x=x, s_true=s_true, seed=seed)
-        return blk
-
 
 def block_means(params: ChannelParams, psi: float, theta: float | None = None) -> np.ndarray:
     """Both symbol means [mu_0, mu_1] at phase ``theta`` (default: params.theta).
@@ -372,4 +361,4 @@ def sample_block(
         key, s, x = _draw(n, seed, z_out=out)
         x *= sigma
     x += block_means(params, psi).take(s)
-    return ObservationBlock._unchecked(x, s, key)
+    return ObservationBlock(x=x, s_true=s, seed=key)

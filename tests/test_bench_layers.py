@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 from qisac import analytics, cli, controller, em, montecarlo, physics
-from qisac.analytics import _fisher
+from qisac.analytics import _fisher, fisher_block
 from qisac.cli import _write_csv
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
@@ -33,12 +33,12 @@ def test_bench_layers_smoke(tmp_path, capsys):
         # one block, one EM run, one information evaluation and one
         # reflection margin per counted iteration
         assert calls == {"sample_block": 1.0, "run_em": 1.0, "reflection_margin": 1.0,
-                         "_fisher": 1.0}
+                         "fisher_block": 1.0}
     # the trial's names are restored
     assert montecarlo.sample_block is physics.sample_block
     assert controller.run_em is em.run_em
     assert controller.reflection_margin is em.reflection_margin
-    assert controller._fisher is _fisher
+    assert controller.fisher_block is fisher_block
     ana = doc["analytics"]
     assert ana["n"] == 1000
     for key in ("first_fisher_us", "fc_max_cold_us", "fisher_argmax_cold_us",

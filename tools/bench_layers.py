@@ -18,9 +18,8 @@ place with timers and minor-page-fault counters
 - ``run_em``         EM on the block,
 - ``reflection_margin`` reflection scoring against the held anchor block
   (``qisac.controller.reflection_margin``, one call per iteration),
-- ``_fisher``        the block Fisher information, N * ``_fisher(A, sigma^2,
-  theta_hat - psi)`` from the table of h (``qisac.controller._fisher``, one
-  call per iteration),
+- ``fisher_block``   the block Fisher information from the run's A and
+  sigma^2 (``qisac.controller.fisher_block``, one call per iteration),
 - ``rest``           what the whole iteration spends outside those calls,
   the trial's derivation of its block seeds included,
 - ``total``          the whole iteration, block draw to block draw.
@@ -87,10 +86,10 @@ from qisac.controller import AlgoConfig
 from qisac.montecarlo import ExperimentSpec
 from qisac.physics import ChannelParams
 
-LAYERS = ("sample_block", "run_em", "reflection_margin", "_fisher")
+LAYERS = ("sample_block", "run_em", "reflection_margin", "fisher_block")
 # the layers the trial calls by module-level name, wrapped in place
 SEAMS = ((montecarlo, "sample_block"), (controller, "run_em"),
-         (controller, "reflection_margin"), (controller, "_fisher"))
+         (controller, "reflection_margin"), (controller, "fisher_block"))
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
 CHANNEL_CACHES = ("_fisher_peak",)   # caches keyed by (A, sigma^2)
 PARETO_POINTS = 21
