@@ -309,6 +309,18 @@ def test_offset_table_at_a_nonzero_theta():
     assert high_snr.tolist() == [fisher_high_snr(p, psi) for psi in psis]
 
 
+def test_fisher_block_is_the_block_of_fisher_symbol():
+    # the control loop's call from run-level constants, at every offset of
+    # the scalar path: F = 0 at phi = 0, inside the table and beyond its edge
+    for p in (*_ARRAY_CHANNELS, ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.7)):
+        a, sigma2 = p.amplitude(), p.noise_var()
+        psis = [p.theta, *np.linspace(-4.0, 4.0, 201).tolist()]
+        for n in (1, 1000, 50000):
+            got = [analytics.fisher_block(a, sigma2, p.theta - psi, n) for psi in psis]
+            assert np.array(got).tobytes() == np.array(
+                [fisher_symbol(p, psi, n=n).block for psi in psis]).tobytes(), (p, n)
+
+
 def test_array_scan_picks_the_scalar_scan_index():
     # _fisher_peak scans 64 offsets on [0, pi/2] in one array pass
     grid = np.linspace(0.0, np.pi / 2, 64).tolist()
