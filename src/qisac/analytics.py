@@ -245,8 +245,6 @@ class FisherReport:
         per_symbol: Fisher information per homodyne outcome (radians^-2).
         block: N * per_symbol for the block length ``n``.
         n: block length used for ``block``.
-        quad_nodes: node count of the quadrature rule the shipped table of
-            h was sampled on; a constant, 4096.
         quad_error_est: per_symbol times the table's certified relative
             error, 1.04e-13 (quadrature doubling and interpolation).
     """
@@ -254,7 +252,6 @@ class FisherReport:
     per_symbol: float
     block: float
     n: int
-    quad_nodes: int
     quad_error_est: float
 
 
@@ -349,9 +346,7 @@ def fisher_symbol(params: ChannelParams, psi: float, n: int = 1) -> FisherReport
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     f = _fisher(params.amplitude(), params.noise_var(), params.theta - psi)
-    return FisherReport(
-        per_symbol=f, block=n * f, n=n, quad_nodes=_H_NODES, quad_error_est=f * _H_RTOL
-    )
+    return FisherReport(per_symbol=f, block=n * f, n=n, quad_error_est=f * _H_RTOL)
 
 
 def fisher_block(a: float, sigma2: float, phi: float, n: int) -> float:
@@ -455,10 +450,17 @@ def fisher_argmax(params: ChannelParams) -> tuple[float, float]:
 
 
 def fc_max(params: ChannelParams, n: int) -> float:
-    """Maximum achievable block Fisher information N * max_phi F(phi)."""
+    """Maximum achievable block Fisher information N * max_phi F(phi).
+
+    Raises:
+        ValueError: n < 1, or N * max F overflows the double range.
+    """
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
-    return n * _fisher_peak(params.amplitude(), params.noise_var())[1]
+    fcm = n * _fisher_peak(params.amplitude(), params.noise_var())[1]
+    if not math.isfinite(fcm):
+        raise ValueError(f"the block Fisher maximum N * max F overflows at N = {n}")
+    return fcm
 
 
 def optimal_angles(theta_hat: float) -> tuple[float, float]:
@@ -499,15 +501,15 @@ def pareto_known_theta(params: ChannelParams, n: int, gamma_min: float) -> Paret
     below argmax F, or gamma_min = fc_max then cost tens of evaluations.
 
     Raises:
-        ValueError: gamma_min is negative or NaN.
+        ValueError: gamma_min is negative or NaN, or :func:`fc_max` rejects n.
         InfeasibleError: gamma_min exceeds the achievable maximum fc_max.
     """
     if not gamma_min >= 0:
         raise ValueError(f"gamma_min must be non-negative, got {gamma_min}")
     a = params.amplitude()
     sigma2 = params.noise_var()
-    phi_peak, f_peak = _fisher_peak(a, sigma2)
-    fcm = n * f_peak
+    phi_peak = _fisher_peak(a, sigma2)[0]
+    fcm = fc_max(params, n)
     if gamma_min > fcm:
         raise InfeasibleError(
             f"required block Fisher information {gamma_min:.6g} exceeds "

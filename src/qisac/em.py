@@ -367,34 +367,29 @@ def run_em(
     # to (the caller resolves the ambiguity).  With antipodal means
     # gamma_0 = expit(z) and gamma_1 = expit(-z), z = k*x, k = 2*mu/s2, so the
     # argmax is label 1 exactly where expit(-z) > expit(z): wherever z < 0,
-    # except for |z| < _TIE_BAND, where both may round to the same value and
-    # the responsibilities themselves decide.  expit is monotone, so the
-    # largest |gamma_0 - 1/2| sits at the extreme z, and |z| >= 1 there puts
-    # it beyond expit(1) - 1/2 > 0.23, far from flat.  Rounding is monotone
-    # and symmetric in sign, so min|z| = |k|*min|x| and max|z| = |k|*max|x|
-    # exactly; when neither a tie nor the flat test can arise, z < 0 is the
-    # sign of x against that of k and z is never formed.  One |z_0| >= 1
+    # that is where x has the sign opposite to k's, except for
+    # |z| < _TIE_BAND, where both may round to the same value and the
+    # responsibilities themselves decide.  Rounding is monotone and
+    # symmetric in sign, so |z| = |k|*|x|, max|z| = |k|*max|x| and the
+    # extreme z are k*max(x) and k*min(x), exactly.  expit is monotone, so
+    # the largest |gamma_0 - 1/2| sits at an extreme z, and |z| >= 1 there
+    # puts it beyond expit(1) - 1/2 > 0.23, far from flat; one |z_0| >= 1
     # already rules the flat test out, so max|x| is read only when it fails.
     theta_hat = canonical_phase(theta)
     k = 2.0 * a * math.cos(theta - psi) / sigma2
-    ax = np.abs(x, out=t)
     ak = abs(k)
-    if ak * ax.min() >= _TIE_BAND and (ak * ax[0] >= 1.0 or ak * ax.max() >= 1.0):
-        s_hat = (x < 0.0 if k > 0.0 else x > 0.0).astype(np.int64)
-        flat = False
-        z = None
-    else:
-        z = x * k
-        s_hat = (z < 0.0).astype(np.int64)
-        tie = np.flatnonzero((z < 0.0) & (z > -_TIE_BAND))
-        zt = z[tie]
+    ax = np.abs(x, out=t)
+    s_hat = (x < 0.0 if k > 0.0 else x > 0.0).astype(np.int64)
+    if ak * ax.min() < _TIE_BAND:
+        tie = np.flatnonzero(ax * ak < _TIE_BAND)
+        zt = x[tie] * k
         s_hat[tie] = expit(-zt) > expit(zt)
-        flat = bool(np.abs(z, out=t).max() < 1.0 and max(
-            abs(expit(z.max()) - 0.5), abs(expit(z.min()) - 0.5)) < _FLAT_RESP_TOL)
+    flat = bool(ak * ax[0] < 1.0 and ak * ax.max() < 1.0 and max(
+        abs(expit(k * x.max()) - 0.5), abs(expit(k * x.min()) - 0.5)) < _FLAT_RESP_TOL)
 
     def responsibilities():
-        zr = x * k if z is None else z
-        return np.column_stack([expit(zr), expit(-zr)])
+        z = x * k
+        return np.column_stack([expit(z), expit(-z)])
 
     return EmResult(
         theta_hat=theta_hat,

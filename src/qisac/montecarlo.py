@@ -16,15 +16,16 @@ over its own independent trials, is unaffected.
 
 Such a group (one trial of the points of one N, or one trial alone) owns
 the arrays its blocks are made in: one x, and for more than one refreshing
-point one draw of symbols and unit normals, written in place each iteration through
-the ``out`` arguments of :func:`qisac.physics.draw_block` and
-:func:`qisac.physics.sample_block`.  The points step one at a time and
-keep nothing of a block past their step (see
-:func:`qisac.controller.qisac_steps`), so one set serves the whole group;
-the lazy ``responsibilities`` and ``loglik_trace`` of an EM result read
-the block when first accessed, so they hold only within its iteration.
-A loop with ``block_refresh`` off keeps its one block for the whole run and
-gets fresh arrays (a group of such loops makes no buffers); so does a caller's own ``block_source`` in
+point one draw of symbols and unit normals, written in place each
+iteration through the ``out`` arguments of
+:func:`qisac.physics.draw_block` and :func:`qisac.physics.sample_block`.
+The points step one at a time; a step returns nothing and keeps nothing of
+its block or its decisions (see :func:`qisac.controller.qisac_steps`), so
+one set serves the whole group.  The lazy ``responsibilities`` and
+``loglik_trace`` of an EM result read the block when first accessed, so
+they hold only within its iteration.  A loop with ``block_refresh`` off
+keeps its one block for the whole run and gets fresh arrays (a group of
+such loops makes no buffers); so does a caller's own ``block_source`` in
 :func:`qisac.controller.run_qisac`, whose blocks are only read.
 """
 
@@ -37,8 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .analytics import ParetoPoint, fc_max, pareto_known_theta
-from .controller import AlgoConfig, RunTrace, qisac_steps
+from .analytics import fc_max, pareto_known_theta
+from .controller import AlgoConfig, RunTrace, qisac_steps, score_ber
 from .errors import QisacError
 from .physics import (
     BlockDraw,
@@ -78,8 +79,8 @@ class ExperimentSpec:
     """Declarative description of one experiment.
 
     sweep, when present, lists (gamma_frac, Na, N) combinations for the
-    trade-off harness; gamma_frac is relative to the achievable Fisher
-    maximum of that combination.
+    trade-off harness; gamma_frac, in [0, 1], is relative to the finite
+    achievable Fisher maximum fc_max of that combination.
     """
 
     params: ChannelParams
@@ -94,13 +95,14 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.n_block < 1:
             raise ValueError("n_block must be >= 1")
+        fc_max(self.params, self.n_block)   # rejects an N whose N * max F overflows
         if self.sweep is not None:
             for gf, na, n in self.sweep:
                 if not 0 <= gf <= 1:
                     raise ValueError(f"gamma_frac must lie in [0, 1], got {gf}")
                 if n < 1:
                     raise ValueError(f"sweep block length must be >= 1, got {n}")
-                replace(self.params, Na=na)  # validates Na like the base channel
+                fc_max(replace(self.params, Na=na), n)  # validates Na and N like the base
 
 
 @dataclass
@@ -126,7 +128,6 @@ class SweepPoint:
     ber_stderr: float
     ber_theory: float
     phi_star: float
-    feasible: bool
 
 
 @dataclass
@@ -134,27 +135,6 @@ class TradeoffCurve:
     points: list[SweepPoint]
     params: ChannelParams
     trials: int
-
-
-def score_ber(s_hat, s_true) -> tuple[float, bool]:
-    """Mismatch fraction with the BPSK label ambiguity resolved.
-
-    The phase is identifiable only mod pi, so an estimate may label every
-    symbol with its complement; min(e, 1-e) scores the better labeling and
-    the flag reports whether the flip was applied.
-    """
-    if not isinstance(s_hat, np.ndarray):
-        s_hat = np.asarray(s_hat)
-    if not isinstance(s_true, np.ndarray):
-        s_true = np.asarray(s_true)
-    if s_hat.shape != s_true.shape:
-        raise ValueError(f"length mismatch: {s_hat.shape} vs {s_true.shape}")
-    if s_hat.size == 0:
-        raise ValueError("no symbols to score")
-    e = np.count_nonzero(s_hat != s_true) / s_hat.size
-    if e <= 1.0 - e:
-        return e, False
-    return 1.0 - e, True
 
 
 def steady_window(length: int) -> slice:
@@ -318,34 +298,26 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
     """Steady-state BER against the required Fisher fraction, per sweep entry.
 
     For each (gamma_frac, Na, N): the constraint is gamma_frac times that
-    configuration's Fisher maximum; each trial runs the control loop and
-    contributes its steady-state (tail-averaged, ambiguity-resolved) BER.
-    The known-theta frontier value is attached for reference.  Points whose
-    constraint cannot be met are marked infeasible and skipped.  Trial i of
-    the feasible points with the same N runs in lockstep over shared block
-    draws (see the module docstring); a trial that fails is logged and left
-    out of its point alone.
+    configuration's Fisher maximum fc_max, so every point is feasible; each
+    trial runs the control loop and contributes its steady-state
+    (tail-averaged, ambiguity-resolved) BER.  The known-theta frontier value
+    is attached for reference.  Trial i of the points with the same N runs
+    in lockstep over shared block draws (see the module docstring); a trial
+    that fails is logged and left out of its point alone.
     """
     if not spec.sweep:
         raise ValueError("sweep list is empty")
-    points: list[SweepPoint | None] = []
-    refs: dict[int, ParetoPoint] = {}
+    refs = []
     groups: dict[int, list[tuple[int, ExperimentSpec]]] = {}   # by block length
     for j, (gamma_frac, na, n) in enumerate(spec.sweep):
         params_j = replace(spec.params, Na=na)
         gamma = gamma_frac * fc_max(params_j, n)
-        try:
-            refs[j] = pareto_known_theta(params_j, n, gamma)
-        except QisacError:
-            points.append(SweepPoint(gamma_frac, na, n, float("nan"), float("nan"),
-                                     float("nan"), float("nan"), False))
-            continue
-        points.append(None)
+        refs.append(pareto_known_theta(params_j, n, gamma))
         algo_j = replace(spec.algo, gamma_min=gamma, gamma_relative=False)
         groups.setdefault(n, []).append(
             (j, replace(spec, params=params_j, algo=algo_j, n_block=n, sweep=None)))
 
-    bers: dict[int, list[float]] = {j: [] for j in refs}
+    bers: list[list[float]] = [[] for _ in refs]
     first_failure: dict[int, str] = {}
     for group in groups.values():
         specs = [sp for _, sp in group]
@@ -357,8 +329,8 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
                 else:
                     bers[j].append(steady_mean(out.ber_emp, len(out)))
 
-    for j, ref in refs.items():
-        gamma_frac, na, n = spec.sweep[j]
+    points = []
+    for j, ((gamma_frac, na, n), ref) in enumerate(zip(spec.sweep, refs)):
         if not bers[j]:
             raise QisacError(
                 f"all trials failed at gamma_frac={gamma_frac}, Na={na}, N={n}: "
@@ -366,7 +338,7 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
             )
         per_trial = np.array(bers[j])
         stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
-        points[j] = SweepPoint(
+        points.append(SweepPoint(
             gamma_frac=float(gamma_frac),
             na=float(na),
             n=int(n),
@@ -374,6 +346,5 @@ def run_tradeoff_sweep(spec: ExperimentSpec) -> TradeoffCurve:
             ber_stderr=stderr,
             ber_theory=ref.ber,
             phi_star=ref.phi_star,
-            feasible=True,
-        )
+        ))
     return TradeoffCurve(points=points, params=spec.params, trials=spec.trials)

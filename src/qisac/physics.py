@@ -66,7 +66,8 @@ class ChannelParams:
         Na: thermal mean photon number, >= 0.
         theta: true channel phase rotation in radians.
 
-    Every field must be finite.
+    Every field must be finite, the amplitude A must not underflow to 0 and
+    the SNR A^2/sigma^2 must not overflow.
     """
 
     E: float
@@ -84,6 +85,10 @@ class ChannelParams:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.Na < 0:
             raise ValueError(f"Na must be non-negative, got {self.Na}")
+        a = self.amplitude()
+        if not (a > 0 and math.isfinite(a * a / self.noise_var())):
+            raise ValueError(f"A = sqrt(2*eta*E) = {a} must be positive with A^2/sigma^2 "
+                             f"finite (E={self.E}, eta={self.eta}, Na={self.Na})")
 
     def amplitude(self) -> float:
         """Signal amplitude A = sqrt(2 * eta * E)."""

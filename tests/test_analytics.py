@@ -118,7 +118,6 @@ def test_fisher_report_fields(params_common):
     rep = fisher_symbol(params_common, 0.0, n=1000)
     assert rep.block == 1000 * rep.per_symbol
     assert rep.n == 1000
-    assert rep.quad_nodes >= 2048
     scale = params_common.amplitude() ** 2 / params_common.noise_var()
     assert rep.quad_error_est <= 1e-8 * max(rep.per_symbol, 1e-12 * scale)
 
@@ -457,6 +456,17 @@ def test_pareto_constraint_satisfied(params_theta0):
                                  n=1000).block
         assert achieved >= pt.gamma_min - 1e-6 * pt.gamma_min
         assert 0.0 <= pt.phi_star <= np.pi / 2
+
+
+def test_fc_max_rejects_an_overflowing_block_maximum():
+    # A^2/sigma^2 ~ 1.6e308 is finite, so the channel is valid, but 2 * max F is not
+    params = ChannelParams(E=4e307, eta=1.0, Na=0.0)
+    assert math.isfinite(fc_max(params, 1))
+    for n in (2, 1000):
+        with pytest.raises(ValueError, match="overflows"):
+            fc_max(params, n)
+        with pytest.raises(ValueError, match="overflows"):
+            pareto_known_theta(params, n, 0.0)
 
 
 def test_pareto_infeasible(params_theta0):

@@ -455,6 +455,35 @@ def test_run_non_finite_gamma_exits_2(tmp_path, capsys, gamma):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("E,eta", [(1e308, 1.0), (1e-300, 1e-300), (1e-200, 1e-200),
+                                   (4e307, 1.0)])
+def test_channel_outside_double_range_exits_2(tmp_path, capsys, E, eta):
+    # A overflows, A underflows to 0, or (last) A^2/sigma^2 is finite but the
+    # block maximum N * max F overflows at the run's N = 200 and the
+    # analytics default N = 1000: each is a configuration error, before any output
+    doc = _base_doc()
+    doc["channel"].update(E=E, eta=eta)
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)]) == 2
+    assert not out.exists()
+    out = tmp_path / "analytics"
+    assert main(["--out-dir", str(out), "analytics", "--E", repr(E), "--eta", repr(eta)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("config error") == 2
+
+
+def test_subnormal_energy_with_positive_amplitude_runs(tmp_path):
+    doc = _base_doc()
+    doc["channel"].update(E=1e-320, eta=1.0)
+    doc["algo"]["t_max"] = 5
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "run", _write_doc(tmp_path, doc)]) == 0
+    assert json.loads((out / "run_summary.json").read_text())["trials_ok"] == 2
+    out = tmp_path / "analytics"
+    assert main(["--out-dir", str(out), "analytics", "--E", "1e-320", "--eta", "1"]) == 0
+    assert (out / "analytics_pareto.csv").exists()
+
+
 def test_run_missing_config_file_exits_2(tmp_path):
     rc = main(["--out-dir", str(tmp_path), "run", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -287,10 +287,9 @@ def test_suspended_loop_holds_no_block_or_decisions(params_common, monkeypatch, 
     cfg = AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.0, t_max=6, psi0=0.5, block_refresh=refresh)
     steps = controller.qisac_steps(source, params_common, cfg)
     for t in range(cfg.t_max - 1):
-        # each step returns its decisions and keeps no reference to them
+        # each step returns nothing and keeps no reference to its decisions
         got = next(steps)
-        assert len(decisions) == t + 1 and decisions[-1]() is got
-        del got
+        assert got is None and len(decisions) == t + 1
         assert sum(r() is not None for r in blocks) == (0 if refresh else 1)
         assert all(r() is None for r in decisions)
     with pytest.raises(StopIteration) as stop:

@@ -11,9 +11,10 @@ from qisac import (
     AlgoConfig,
     ChannelParams,
     ExperimentSpec,
-    InfeasibleError,
     QisacError,
     ber_theory,
+    fc_max,
+    fisher_argmax,
     run_convergence_experiment,
     run_qisac,
     run_tradeoff_sweep,
@@ -293,6 +294,48 @@ def test_smaller_blocks_mean_noisier_constraint_tracking(params_common):
 
 # ------------------------------------------------------------- sweep harness
 
+def _largest_energy(n):
+    """Largest E (to 1e-12) of a valid channel eta = 1, Na = 0 with fc_max(., n) finite."""
+    def ok(e):
+        try:
+            return math.isfinite(fc_max(ChannelParams(E=e, eta=1.0, Na=0.0), n))
+        except ValueError:
+            return False
+
+    lo, hi = 1.0, 1e308
+    while hi - lo > 1e-12 * lo:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def test_sweep_constraints_never_exceed_the_frontier_maximum():
+    # a sweep point's constraint is gamma_frac * fc_max with gamma_frac in
+    # [0, 1], and fc_max is the N * max F that pareto_known_theta tests
+    # against, so the frontier point exists for every entry ExperimentSpec
+    # accepts: over ordinary channels and the edges of the valid range (the
+    # smallest positive amplitude, the largest channel whose N * max F is
+    # finite), at every gamma fraction down to the smallest subnormal
+    fracs = (0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0)
+    channels = [ChannelParams(E=e, eta=0.8, Na=na, theta=0.3)
+                for e in (1e-3, 0.1, 1.0, 10.0, 1e3) for na in (0.0, 1.0, 3.0)]
+    channels += [ChannelParams(E=1e-320, eta=1.0, Na=na) for na in (0.0, 3.0)]
+    for n in (1, 1000, 50000):
+        top = _largest_energy(n)
+        for params in channels + [ChannelParams(E=top, eta=1.0, Na=0.0)]:
+            peak = n * fisher_argmax(params)[1]
+            spec = ExperimentSpec(params=params, algo=AlgoConfig(gamma_min=0.0), n_block=n,
+                                  trials=1, seed=0, sweep=tuple((gf, params.Na, n) for gf in fracs))
+            for gf, na, n_j in spec.sweep:
+                gamma = gf * fc_max(replace(params, Na=na), n_j)
+                assert gamma <= peak, (params, n, gf)
+                assert pareto_known_theta(params, n, gamma).phi_star <= fisher_argmax(params)[0]
+        # one step past it, the channel (N = 1) or the spec is rejected
+        with pytest.raises(ValueError):
+            ExperimentSpec(params=ChannelParams(E=top * (1 + 1e-9), eta=1.0, Na=0.0),
+                           algo=AlgoConfig(gamma_min=0.0), n_block=n, trials=1, seed=0)
+
+
 def test_sweep_requires_entries(params_common):
     spec = _spec(params_common)
     with pytest.raises(ValueError):
@@ -316,7 +359,6 @@ def test_sweep_point_fields_and_theory(params_theta0):
     assert curve.trials == 3
     assert [p.gamma_frac for p in curve.points] == [0.0, 0.5]
     for p in curve.points:
-        assert p.feasible
         assert p.ber_stderr > 0.0
         assert 0.0 <= p.phi_star <= np.pi / 2
     # unconstrained point: simulated BER near its analytic floor
@@ -326,26 +368,6 @@ def test_sweep_point_fields_and_theory(params_theta0):
     assert abs(p0.ber_sim - floor) < 0.03
     # tighter constraint cannot improve the frontier
     assert curve.points[1].ber_theory >= p0.ber_theory
-
-
-def test_sweep_marks_infeasible_points(params_common, monkeypatch):
-    def always_infeasible(params, n, gamma_min, **kw):
-        raise InfeasibleError("constraint exceeds the achievable maximum")
-
-    monkeypatch.setattr(mc, "pareto_known_theta", always_infeasible)
-    spec = ExperimentSpec(
-        params=params_common,
-        algo=AlgoConfig(gamma_min=0.0, lam=0.1, t_max=5),
-        n_block=100,
-        trials=1,
-        seed=0,
-        sweep=((0.9, 3.0, 100),),
-    )
-    curve = run_tradeoff_sweep(spec)
-    assert len(curve.points) == 1
-    p = curve.points[0]
-    assert not p.feasible
-    assert math.isnan(p.ber_sim) and math.isnan(p.ber_theory)
 
 
 def _assert_same_trace(a, b, where):
@@ -374,13 +396,13 @@ def _point_alone(spec, entry):
     per_trial = np.array([steady_mean(tr.ber_emp, len(tr)) for tr in traces])
     stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial))) if len(per_trial) > 1 else 0.0
     point = SweepPoint(float(gamma_frac), float(na), int(n), float(per_trial.mean()), stderr,
-                       ref.ber, ref.phi_star, True)
+                       ref.ber, ref.phi_star)
     return spec_j, point
 
 
 def test_lockstep_sweep_matches_points_run_alone(params_common, monkeypatch, caplog):
     # sweep points of one trial advance in lockstep over shared block draws;
-    # mixed block lengths and Na, an infeasible point, points that stop at
+    # mixed block lengths and Na, points that stop at
     # different iterations (eps > 0) and a point whose EM fails in one trial
     # must each give the SweepPoint and traces of the point run alone
     sweep = ((0.0, 3.0, 160), (0.6, 3.0, 160), (0.0, 1.0, 160),
@@ -389,14 +411,6 @@ def test_lockstep_sweep_matches_points_run_alone(params_common, monkeypatch, cap
         params=params_common,
         algo=AlgoConfig(gamma_min=0.0, lam=0.1, eps=0.05, t_max=60, psi0=math.radians(70.0)),
         n_block=100, trials=3, seed=31, sweep=sweep)
-    real_pareto = mc.pareto_known_theta
-
-    def pareto(params, n, gamma, **kw):
-        if n == 240 and params.Na == 3.0 and gamma > 0.0:
-            raise InfeasibleError("forced infeasible")
-        return real_pareto(params, n, gamma, **kw)
-
-    monkeypatch.setattr(mc, "pareto_known_theta", pareto)
     fail_at, fail_trial, fail_point = 4, 1, 5
     fail_key = trial_seed(trial_seed(spec.seed, fail_trial), fail_at)
     real_em = controller.run_em
@@ -414,12 +428,10 @@ def test_lockstep_sweep_matches_points_run_alone(params_common, monkeypatch, cap
     seed_1 = trial_seed(spec.seed, fail_trial)
     assert logged == [f"trial {fail_trial} (seed {seed_1}) failed: {msg}"]
 
-    assert [p.feasible for p in curve.points] == [True, True, True, True, False, True]
-    assert math.isnan(curve.points[4].ber_sim)
-    for j in (0, 1, 2, 3, 5):
+    for j in range(len(sweep)):
         assert curve.points[j] == _point_alone(spec, sweep[j])[1], j
     lengths = set()
-    for n, group in ((160, (0, 1, 2)), (240, (3, 5))):
+    for n, group in ((160, (0, 1, 2)), (240, (3, 4, 5))):
         specs = [_point_alone(spec, sweep[j])[0] for j in group]
         for i in range(spec.trials):
             done = dict(mc._lockstep(specs, i))
@@ -463,7 +475,6 @@ def test_lockstep_draws_each_block_once_and_shares_read_only_symbols(params_comm
     spec = _spec(params_common, trials=1, t_max=5)
     spec = replace(spec, sweep=((0.1, 3.0, 300), (0.7, 1.0, 300)))
     curve = run_tradeoff_sweep(spec)
-    assert all(p.feasible for p in curve.points)
     seed_0 = trial_seed(spec.seed, 0)
     assert draws == [trial_seed(seed_0, t) for t in range(5)]
     assert len(blocks) == 10

@@ -53,6 +53,21 @@ def test_param_validation():
             ChannelParams(**{"E": 10.0, "eta": 0.8, "Na": 3.0, **bad})
 
 
+@pytest.mark.parametrize("E,eta,Na", [(1e308, 1.0, 3.0), (1e-300, 1e-300, 3.0),
+                                       (1e-200, 1e-200, 3.0), (4.5e307, 1.0, 0.0)])
+def test_param_validation_rejects_amplitude_outside_double_range(E, eta, Na):
+    # A = sqrt(2*eta*E) overflows or underflows to 0, or A^2/sigma^2 overflows
+    with pytest.raises(ValueError, match="must be positive with A\\^2/sigma\\^2 finite"):
+        ChannelParams(E=E, eta=eta, Na=Na)
+
+
+def test_param_validation_accepts_subnormal_energy():
+    # E = 1e-320 is subnormal, but A = sqrt(2e-320) ~ 1.4e-160 is a normal double
+    p = ChannelParams(E=1e-320, eta=1.0, Na=0.0)
+    assert 0.0 < p.amplitude() < 1e-159
+    assert 0.0 < p.amplitude() ** 2 / p.noise_var()
+
+
 def test_symbol_mean_values():
     p = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.7)
     # zero offset: cos(0) = 1 and cos(pi) = -1 are exact
