@@ -46,6 +46,7 @@ run's constants A and sigma^2, with the bits of
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
@@ -260,39 +261,59 @@ def qisac_steps(
     propagates from that ``next()`` with its ``iteration`` set.  While
     suspended the loop holds no block (except the one reused block when
     ``block_refresh`` is off) and no decisions, only the anchor's |x|, so
-    many loops can advance in turn over shared draws.
+    many loops can advance in turn over shared draws.  It is a cohort of
+    one (:func:`_cohort_steps`).
     """
-    psi = canonical_phase(config.psi0)
-    lam, eps, refresh = config.lam, config.eps, config.block_refresh
-    em_cfg = config.em
-    em_eps, em_lmax = em_cfg.eps, em_cfg.l_max
-    a, sigma2 = params.amplitude(), params.noise_var()
-    block = None
-    block_psi = 0.0
-    block_t = 0   # iteration the current block was drawn at
-    n = 0
+    (trace,) = yield from _cohort_steps(block_source, params, config, [config.gamma_min])
+    return trace
 
-    theta_l, psi_l, fc_l, bemp_l, bth_l, targ_l, flip_l, margin_l = [], [], [], [], [], [], [], []
-    fcm = gamma = None
-    anchor_t = -1   # iteration of the anchor's block; -1 while there is none
-    anchor_psi = 0.0
-    anchor_abs = np.empty(0)
-    anchor_sum = 0.0
+
+def _cohort_steps(block_source: BlockSource, params: ChannelParams, config: AlgoConfig,
+                  gammas: list[float], state: tuple | None = None,
+                  ) -> Generator[tuple | None, None, list[RunTrace]]:
+    """The loop of :func:`qisac_steps` for a cohort: runs that differ only in gamma_min.
+
+    ``gammas`` lists the members' gamma_min in ascending order.  gamma enters
+    the loop only through the test fc >= gamma, so until that test disagrees
+    the members share each iteration bit for bit.  When fc meets the demand
+    of the first j members only, they part as a child cohort started from
+    ``state``, the loop state they reach at the end of that iteration: it
+    copies the trace lists and shares the anchor's |x| (never written in
+    place) and, with ``block_refresh`` off, the reused block.  That
+    iteration's ``next()`` returns (child, j), not None; the child's first
+    ``next()`` runs the iteration after.  The value at the end is the
+    members' RunTraces in order, no two sharing an array; a QisacError
+    ends the cohort, so it is every member's.
+    """
+    lam, eps, refresh = config.lam, config.eps, config.block_refresh
+    em_eps, em_lmax = config.em.eps, config.em.l_max
+    a, sigma2 = params.amplitude(), params.noise_var()
+    if state is None:
+        state = (0, canonical_phase(config.psi0), config.em, None, None, 0.0, 0, 0,
+                 ([], [], [], [], [], [], [], []), -1, 0.0, np.empty(0), 0.0, 0.0, None)
+    # block_t: the iteration the current block was drawn at; anchor_t: that of
+    # the anchor's block, -1 while there is none
+    (t0, psi, em_cfg, fcm, block, block_psi, block_t, n, lists,
+     anchor_t, anchor_psi, anchor_abs, anchor_sum, theta_hat, s_hat) = state
+    theta_l, psi_l, fc_l, bemp_l, bth_l, flip_l, margin_l, targ_l = lists
+    child = None
 
     try:
-        for t in range(config.t_max):
-            if t:
+        for t in range(t0, config.t_max):
+            if t != t0:
                 del s_hat   # scored already; no decisions are held while suspended
                 if refresh:
                     block = None
-                yield
+                yield child
+                child = None
             if block is None:
                 block = block_source(psi, t)
                 block_psi, block_t = psi, t
                 n = block.n
             if fcm is None:
                 fcm = fc_max(params, n)
-                gamma = config.gamma_min * fcm if config.gamma_relative else config.gamma_min
+                if config.gamma_relative:
+                    gammas = [g * fcm for g in gammas]
 
             # the block is always interpreted at the LO phase it was measured
             # at; with block_refresh off that phase stays psi0 while psi retunes
@@ -308,17 +329,37 @@ def qisac_steps(
 
             fc = fisher_block(a, sigma2, theta_hat - psi, n)
             ber_emp, flipped = score_ber(s_hat, block.s_true)
-            kind, psi_tar = select_target(fc, gamma, theta_hat)
+            kind, psi_tar = select_target(fc, gammas[-1], theta_hat)
 
             theta_l.append(theta_hat)
             psi_l.append(psi)
             fc_l.append(fc)
             bemp_l.append(ber_emp)
             bth_l.append(ber_theory(params, psi))
-            targ_l.append(kind)
             flip_l.append(flipped)
             margin_l.append(margin)
+            targ_l.append(kind)
 
+            if kind == "sen" and fc >= gammas[0]:
+                # the first j members part as a child cohort, stepping toward the
+                # communication target (as below: a helper would cost every loop a call)
+                j = bisect_right(gammas, fc)
+                tar_c = select_target(fc, gammas[j - 1], theta_hat)[1]
+                psi_c = update_psi(psi, tar_c, lam)
+                anchor_c = (anchor_t, anchor_psi, anchor_abs, anchor_sum)
+                if anchor_t < 0 or abs(math.sin(2.0 * (block_psi - psi_c))) > abs(
+                    math.sin(2.0 * (anchor_psi - psi_c))
+                ):
+                    abs_c = np.abs(block.x)
+                    anchor_c = (block_t, block_psi, abs_c, float(abs_c.sum()))
+                *lists_c, targ_c = (v.copy() for v in lists)
+                targ_c[-1] = "com"
+                t_c = config.t_max if abs(wrap_pi(tar_c - psi)) < eps else t + 1   # t_max: ends
+                child = (_cohort_steps(block_source, params, config, gammas[:j], (
+                    t_c, psi_c, em_cfg, fcm, None if refresh else block, block_psi,
+                    block_t, n, (*lists_c, targ_c), *anchor_c, theta_hat,
+                    s_hat.copy() if t_c == config.t_max else None)), j)
+                gammas = gammas[j:]
             dpsi = wrap_pi(psi_tar - psi)
             psi = update_psi(psi, psi_tar, lam)
             if anchor_t < 0 or abs(math.sin(2.0 * (block_psi - psi))) > abs(
@@ -332,26 +373,31 @@ def qisac_steps(
     except QisacError as err:
         err.iteration = t
         raise
+    if child is not None:   # a split in the last iteration
+        yield child
 
-    margins = np.array(margin_l, dtype=float)
-    return RunTrace(
-        theta_hat=np.array(theta_l),
-        psi=np.array(psi_l),
-        fc=np.array(fc_l),
-        ber_emp=np.array(bemp_l),
-        ber_theory=np.array(bth_l),
-        target=targ_l,
-        flipped=np.array(flip_l, dtype=bool),
-        theta_true=params.theta,
-        n_block=n,
-        fc_max=float(fcm),
-        gamma_min=float(gamma),
-        theta_final=float(theta_hat),
-        psi_final=psi,
-        s_hat_final=s_hat,
-        reflect_margin=margins,
-        reflection_adopted=_adopts(margins),
-    )
+    traces = []
+    for gamma in gammas:
+        margins = np.array(margin_l, dtype=float)
+        traces.append(RunTrace(
+            theta_hat=np.array(theta_l),
+            psi=np.array(psi_l),
+            fc=np.array(fc_l),
+            ber_emp=np.array(bemp_l),
+            ber_theory=np.array(bth_l),
+            target=list(targ_l),
+            flipped=np.array(flip_l, dtype=bool),
+            theta_true=params.theta,
+            n_block=n,
+            fc_max=float(fcm),
+            gamma_min=float(gamma),
+            theta_final=float(theta_hat),
+            psi_final=psi,
+            s_hat_final=s_hat.copy() if traces else s_hat,
+            reflect_margin=margins,
+            reflection_adopted=_adopts(margins),
+        ))
+    return traces
 
 
 def run_qisac(

@@ -19,13 +19,18 @@ the arrays its blocks are made in: one x, and for more than one refreshing
 point one draw of symbols and unit normals, written in place each
 iteration through the ``out`` arguments of
 :func:`qisac.physics.draw_block` and :func:`qisac.physics.sample_block`.
-The points step one at a time; a step returns nothing and keeps nothing of
-its block or its decisions (see :func:`qisac.controller.qisac_steps`), so
-one set serves the whole group.  The lazy ``responsibilities`` and
-``loglik_trace`` of an EM result read the block when first accessed, so
-they hold only within its iteration.  A loop with ``block_refresh`` off
-keeps its one block for the whole run and gets fresh arrays (a group of
-such loops makes no buffers); so does a caller's own ``block_source`` in
+The points whose loops differ only in gamma_min run as one cohort: one
+loop that steps for all of them, one block, EM run, reflection score and F
+per iteration, until their feasibility tests fc >= gamma disagree and it
+splits (see :func:`_lockstep`; :func:`qisac.controller._cohort_steps` says
+which arrays a cohort, its children and each member's trace own).  The
+cohorts step one at a time; a step keeps nothing of its block or its
+decisions (see :func:`qisac.controller.qisac_steps`), so one set serves the
+whole group.  The lazy ``responsibilities`` and ``loglik_trace`` of an EM
+result read the block when first accessed, so they hold only within its
+iteration.  A loop with ``block_refresh`` off keeps its one block for the
+whole run and gets fresh arrays (a group of such loops makes no buffers);
+so does a caller's own ``block_source`` in
 :func:`qisac.controller.run_qisac`, whose blocks are only read.
 """
 
@@ -39,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .analytics import fc_max, pareto_known_theta
-from .controller import AlgoConfig, RunTrace, qisac_steps, score_ber
+from .controller import AlgoConfig, RunTrace, _cohort_steps, score_ber
 from .errors import QisacError
 from .physics import (
     BlockDraw,
@@ -202,8 +207,12 @@ def _lockstep(
     x.  The draw and x live in buffers the group owns (see the module
     docstring), made only when a loop will read them: a loop with
     ``block_refresh`` off holds its one block for the whole run, so it gets
-    a block of fresh arrays instead.  A loop that raises QisacError ends
-    there; the others go on.
+    a block of fresh arrays instead.  The specs whose ``params`` and
+    ``algo`` are equal but for gamma_min start as one cohort, any other
+    spec as a cohort of one.  A child cohort parted at iteration t first
+    steps in the next round, at t + 1 like the rest, so each round reads
+    one block.  A cohort that raises QisacError ends there, with that error
+    for each of its members; the others go on.
     """
     seed_t = trial_seed(specs[0].seed, index)
     n = specs[0].n_block
@@ -233,18 +242,29 @@ def _lockstep(
             return lambda psi, t: sample_block(params, psi, n, seed_at(t), out=x_buf)
         return lambda psi, t: sample_block(params, psi, n, shared(t), out=x_buf)
 
-    loops = {k: qisac_steps(source_of(sp.params, sp.algo.block_refresh), sp.params, sp.algo)
-             for k, sp in enumerate(specs)}
+    cohorts: dict[tuple, list[int]] = {}   # (params, algo but gamma_min) -> keys
+    for k in sorted(range(len(specs)), key=lambda k: specs[k].algo.gamma_min):
+        sp = specs[k]
+        cohorts.setdefault((sp.params, replace(sp.algo, gamma_min=0.0)), []).append(k)
+    loops = {}   # each cohort's generator -> its members' keys, by ascending gamma
+    for (params, algo), ks in cohorts.items():
+        gammas = [specs[k].algo.gamma_min for k in ks]
+        loops[_cohort_steps(source_of(params, algo.block_refresh), params, algo, gammas)] = ks
     while loops:
-        for k in list(loops):
+        for steps in list(loops):
             try:
-                next(loops[k])
+                split = next(steps)
             except StopIteration as stop:
-                del loops[k]
-                yield k, stop.value
+                yield from zip(loops.pop(steps), stop.value)
+                continue
             except QisacError as err:
-                del loops[k]
-                yield k, err
+                for k in loops.pop(steps):
+                    yield k, err
+                continue
+            if split is not None:   # its first j members parted; they step next round
+                child, j = split
+                keys = loops[steps]
+                loops[steps], loops[child] = keys[j:], keys[:j]
 
 
 def _single_trial(spec: ExperimentSpec, index: int) -> RunTrace:

@@ -266,11 +266,12 @@ def test_criterion_6_closed_loop_convergence_regression():
 def test_criterion_7_tradeoff_sweep_against_known_phase_frontier():
     """BER rises with the information demand and larger blocks do no worse.
 
-    EXPECTED TO FAIL at the frontier-endpoint clause, at both endpoints;
-    the suspected cause is that the feasibility dither settles a
-    noise-floor distance away from the frontier angle.  See the module
-    docstring.  The monotonicity and block-size checks run
-    first and pass.
+    EXPECTED TO FAIL at the frontier-endpoint clause, at both endpoints.
+    The cause is measured: the paper rule's unequal steps make its dwell
+    stationary where a share 1 - phi/(pi/2) of blocks meets the demand,
+    not one half, so the loop sits outward at low demand and inward at
+    high demand (ROADMAP direction 5; see the module docstring).  The
+    monotonicity and block-size checks run first and pass.
     """
     fracs = (0.1, 0.3, 0.5, 0.7, 0.9)
     params = replace(COMMON, theta=math.radians(30.0))

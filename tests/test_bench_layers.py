@@ -39,6 +39,13 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert controller.run_em is em.run_em
     assert controller.reflection_margin is em.reflection_margin
     assert controller.fisher_block is fisher_block
+    # trial 0 of each sweep shape; EM runs at most once per point-iteration
+    assert [sw["name"] for sw in doc["sweep"]] == ["sweep_n50k", "criterion7_n5000"]
+    for sw in doc["sweep"]:
+        assert sw["repeats"] == 2 and sw["us_per_point_iter"] > 0
+        assert 0 < sw["point_iterations"] <= len(sw["fracs"]) * sw["t_max"]
+        assert 0 < sw["run_em_per_point_iter"] <= 1.0
+    assert controller.run_em is em.run_em
     ana = doc["analytics"]
     assert ana["n"] == 1000
     for key in ("first_fisher_us", "fc_max_cold_us", "fisher_argmax_cold_us",
@@ -53,3 +60,4 @@ def test_bench_layers_smoke(tmp_path, capsys):
     assert "N=   120" in out
     assert "pareto_us_per_call" in out
     assert "startup: import_ms" in out
+    assert "sweep sweep_n50k:" in out

@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import fields, replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -501,9 +502,117 @@ def test_sweep_with_block_refresh_off_matches_points_run_alone(params_common):
             _assert_same_trace(done[k], mc._single_trial(spec_k, i), (i, k))
 
 
+def _cohort_specs(spec, fracs):
+    """One spec per gamma fraction of ``spec``'s channel, as run_tradeoff_sweep makes them."""
+    gammas = [f * fc_max(spec.params, spec.n_block) for f in fracs]
+    return [replace(spec, algo=replace(spec.algo, gamma_min=g)) for g in gammas]
+
+
+def _parted_at(a, b):
+    """The first iteration whose target differs between two traces, or None."""
+    return next((t for t, (x, y) in enumerate(zip(a.target, b.target)) if x != y), None)
+
+
+@pytest.mark.parametrize("refresh", [True, False])
+def test_cohort_members_match_points_run_alone(refresh):
+    # one Na, so the five points start as one cohort; they part at
+    # different iterations (0.4 and 0.45 never do while each block is
+    # fresh), and with eps > 0 some stop early, also together.  The specs
+    # come in descending gamma; every member's trace is the point's own
+    params = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.3)
+    spec = _spec(params, trials=3, t_max=40, lam=0.2, eps=0.05, seed=31, block_refresh=refresh)
+    specs = _cohort_specs(spec, (0.8, 0.45, 0.4, 0.005, 0.0))
+    parts, lengths = set(), set()
+    for i in range(spec.trials):
+        done = dict(mc._lockstep(specs, i))
+        alone = [mc._single_trial(sp, i) for sp in specs]
+        for k, tr in enumerate(alone):
+            _assert_same_trace(done[k], tr, (i, k))
+            lengths.add(len(tr))
+            parts.update(_parted_at(tr, other) for other in alone[k + 1:])
+    assert len(parts - {None}) > 1 and (None in parts or not refresh)
+    assert len(lengths) > 1 and min(lengths) < spec.algo.t_max
+
+
+def test_failure_in_a_shared_prefix_fails_every_member(params_common, monkeypatch, caplog):
+    # the points of this sweep share their loop state for all 20 iterations,
+    # so EM runs once on the block of trial 1, iteration 4, and its failure
+    # is every point's, logged once per point
+    spec = replace(_spec(params_common, trials=3, lam=0.01, t_max=20),
+                   sweep=tuple((f, 3.0, 300) for f in (0.1, 0.2, 0.3)))
+    fail_key = trial_seed(trial_seed(spec.seed, 1), 4)
+    real_em, failed = controller.run_em, []
+
+    def em(block, params, psi, cfg):
+        if block.seed == fail_key:
+            failed.append(psi)
+            raise QisacError("forced")
+        return real_em(block, params, psi, cfg)
+
+    monkeypatch.setattr(controller, "run_em", em)
+    specs = _cohort_specs(spec, (0.1, 0.2, 0.3))
+    for i in range(spec.trials):
+        done = dict(mc._lockstep(specs, i))
+        assert sorted(done) == [0, 1, 2]
+        for k, out in done.items():
+            if i == 1:
+                assert isinstance(out, QisacError) and out.iteration == 4, k
+            else:
+                _assert_same_trace(out, mc._single_trial(specs[k], i), (i, k))
+    assert len(failed) == 1
+    with caplog.at_level(logging.WARNING, logger="qisac.montecarlo"):
+        curve = run_tradeoff_sweep(spec)
+    assert [p.ber_sim for p in curve.points] == [
+        _point_alone(spec, entry)[1].ber_sim for entry in spec.sweep]
+    seed_1 = trial_seed(spec.seed, 1)
+    logged = [r.getMessage() for r in caplog.records if r.name == "qisac.montecarlo"]
+    assert logged == [f"trial 1 (seed {seed_1}) failed: QisacError: iteration 4: forced"] * 3
+
+
+def test_cohort_runs_em_once_per_distinct_loop_state(params_common, monkeypatch):
+    # the loop state at iteration t is set by the targets of iterations
+    # before t, so EM runs once per distinct target history among the points
+    # still running; points that never part cost t_max EM runs per trial
+    # whatever their number.  A cohort that parts steps from the next
+    # round, so each block is still drawn once
+    calls, draws = [0], []
+    real_em, real_draw = controller.run_em, mc.draw_block
+
+    def em(*args):
+        calls[0] += 1
+        return real_em(*args)
+
+    def draw(n, seed, **kw):
+        draws.append(seed.key)
+        return real_draw(n, seed, **kw)
+
+    monkeypatch.setattr(controller, "run_em", em)
+    monkeypatch.setattr(mc, "draw_block", draw)
+    together = _spec(params_common, trials=2, lam=0.01, t_max=20)
+    for fracs in ((0.1,), (0.1, 0.2), (0.1, 0.2, 0.3)):
+        calls[0] = 0
+        for i in range(together.trials):
+            list(mc._lockstep(_cohort_specs(together, fracs), i))
+        assert calls[0] == together.trials * together.algo.t_max, fracs
+
+    apart = _spec(ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=0.3), trials=3, t_max=40,
+                  lam=0.2, eps=0.05, seed=31)
+    specs = _cohort_specs(apart, (0.0, 0.005, 0.4, 0.45, 0.8))
+    for i in range(apart.trials):
+        alone = [mc._single_trial(sp, i) for sp in specs]
+        states = sum(len({tuple(tr.target[:t]) for tr in alone if len(tr) > t})
+                     for t in range(apart.algo.t_max))
+        calls[0], draws[:] = 0, []
+        list(mc._lockstep(specs, i))
+        assert calls[0] == states < len(specs) * max(map(len, alone)), i
+        seed_i = trial_seed(apart.seed, i)
+        assert draws == [trial_seed(seed_i, t) for t in range(max(map(len, alone)))], i
+
+
 def test_traces_share_no_memory_with_the_lockstep_buffers(params_common, monkeypatch):
     # the group's draw and x buffers are rewritten by later iterations,
-    # trials and points; nothing a trace keeps may live in them
+    # trials and points; nothing a trace keeps may live in them, and
+    # siblings keep no array in common
     buffers = []
     real_draw, real_sample = mc.draw_block, mc.sample_block
 
@@ -519,13 +628,21 @@ def test_traces_share_no_memory_with_the_lockstep_buffers(params_common, monkeyp
     monkeypatch.setattr(mc, "sample_block", sample)
     spec = _spec(params_common, trials=3, n_block=200, t_max=6)
     group = [replace(spec, params=replace(spec.params, Na=na)) for na in (3.0, 1.0)]
+    # one cohort: the first two never part and end together, the third
+    # parts from them at iteration 0, which is the last one in ``last``
+    cohort = [replace(spec, algo=replace(spec.algo, gamma_min=g)) for g in (0.0, 0.0, 1e9)]
+    last = [replace(sp, algo=replace(sp.algo, t_max=1)) for sp in cohort]
     kept = []   # (trace, bytes of s_hat_final as it ended)
     for i in range(spec.trials):
-        for specs in (group, group[:1]):
-            for _, tr in mc._lockstep(specs, i):
-                kept.append((tr, tr.s_hat_final.tobytes()))
+        for specs in (group, group[:1], cohort, last):
+            siblings = [tr for _, tr in mc._lockstep(specs, i)]
+            kept.extend((tr, tr.s_hat_final.tobytes()) for tr in siblings)
+            for a, b in combinations(siblings, 2):
+                assert a.target is not b.target
+                for name in ("s_hat_final", "theta_hat", "psi", "fc", "ber_emp", "reflect_margin"):
+                    assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
     assert buffers and all(b is not None for b in buffers)
-    assert len(kept) == 3 * spec.trials
+    assert len(kept) == 9 * spec.trials
     for tr, final in kept:
         assert tr.s_hat_final.tobytes() == final
         for arr in (tr.s_hat_final, tr.theta_hat, tr.psi, tr.fc, tr.ber_emp):

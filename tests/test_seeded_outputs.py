@@ -35,6 +35,8 @@ def test_seeded_outputs_smoke(tmp_path, monkeypatch, capsys):
         "run_convergence_theta60/run_trace.csv",
         "sweep_n50k/sweep_results.csv",
         "sweep_n50k/sweep_summary.json",
+        "sweep_split/sweep_results.csv",
+        "sweep_split/sweep_summary.json",
         "sweep_tradeoff_theta30/sweep_results.csv",
         "sweep_tradeoff_theta30/sweep_summary.json",
     ]

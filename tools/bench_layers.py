@@ -59,6 +59,21 @@ Two per-call figures complete it:
 Start-up is timed as ``startup.import_ms``: ``import qisac.cli`` in a fresh
 interpreter that imports the same qisac tree, best of ``--repeats``.
 
+The ``sweep`` section times trial 0 of two one-Na trade-off sweeps on the
+theta = 30 deg channel (lambda = 0.015, psi0 = 90 deg), run as
+``qisac sweep`` runs each trial (``montecarlo._lockstep`` over the points'
+specs): the benchmark's ``sweep_n50k`` shape (N = 5e4, gamma fractions
+0.1 / 0.5 / 0.9, t_max 20, eps 0, seed 4401) and criterion 7's N = 5000
+shape (fractions 0.1 ... 0.9, t_max 350, eps 1e-3, seed 707).  A
+point-iteration is one outer iteration of one sweep point; per sweep it
+reports
+
+- ``us_per_point_iter``     the trial's wall time per point-iteration, best
+  of ``--repeats``,
+- ``run_em_per_point_iter`` calls of ``qisac.controller.run_em`` per
+  point-iteration, a count that does not depend on the host: 1.0 when every
+  point runs its own EM each iteration, less when points share one.
+
 The result is written to ``BENCH_layers_<tag>.json`` in ``--out-dir``.
 """
 
@@ -76,6 +91,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +109,12 @@ SEAMS = ((montecarlo, "sample_block"), (controller, "run_em"),
 PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(45.0))
 CHANNEL_CACHES = ("_fisher_peak",)   # caches keyed by (A, sigma^2)
 PARETO_POINTS = 21
+SWEEP_PARAMS = ChannelParams(E=10.0, eta=0.8, Na=3.0, theta=math.radians(30.0))
+# (name, N, gamma fractions, eps, t_max, seed) of the sweeps the sweep section times
+SWEEPS = (
+    ("sweep_n50k", 50000, (0.1, 0.5, 0.9), 0.0, 20, 4401),
+    ("criterion7_n5000", 5000, (0.1, 0.3, 0.5, 0.7, 0.9), 1e-3, 350, 707),
+)
 COLD_REPS = 101    # repetitions behind each cold analytics median
 
 
@@ -247,6 +269,39 @@ def measure_analytics(repeats: int, out_dir: Path, n: int = 1000) -> dict:
     return out
 
 
+def measure_sweep(name: str, n: int, fracs, eps: float, t_max: int, seed: int,
+                  repeats: int) -> dict:
+    """Trial 0 of a one-Na sweep, as ``run_tradeoff_sweep`` runs it: time and EM calls."""
+    base = AlgoConfig(gamma_min=0.0, lam=0.015, eps=eps, t_max=t_max, psi0=math.radians(90.0))
+    fcm = analytics.fc_max(SWEEP_PARAMS, n)
+    specs = [ExperimentSpec(params=SWEEP_PARAMS, algo=replace(base, gamma_min=f * fcm),
+                            n_block=n, trials=1, seed=seed) for f in fracs]
+    run_em, calls = controller.run_em, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return run_em(*args, **kwargs)
+
+    runs = []
+    controller.run_em = counting
+    try:
+        for _ in range(repeats):
+            calls[0] = 0
+            t0 = time.perf_counter()
+            traces = [tr for _, tr in montecarlo._lockstep(specs, 0)]
+            runs.append(time.perf_counter() - t0)
+    finally:
+        controller.run_em = run_em
+    point_iters = sum(len(tr) for tr in traces)
+    return {
+        "name": name, "n": n, "fracs": list(fracs), "eps": eps, "t_max": t_max, "seed": seed,
+        "point_iterations": point_iters,
+        "us_per_point_iter": min(runs) * 1e6 / point_iters,
+        "run_em_per_point_iter": calls[0] / point_iters,
+        "repeats": repeats,
+    }
+
+
 _IMPORT_SCRIPT = (
     "import time\n"
     "t0 = time.perf_counter()\n"
@@ -310,6 +365,12 @@ def main(argv: list[str] | None = None) -> Path:
         print(f"N={n:>6}: " + "  ".join(
             f"{k} {us[k]:8.1f} us {flt[k]:6.1f} flt" for k in (*LAYERS, "rest", "total")))
 
+    sweeps = [measure_sweep(*shape, args.repeats) for shape in SWEEPS]
+    for sw in sweeps:
+        print(f"sweep {sw['name']}: {sw['us_per_point_iter']:9.1f} us and "
+              f"{sw['run_em_per_point_iter']:.3f} run_em per point-iteration "
+              f"({sw['point_iterations']} point-iterations)")
+
     with tempfile.TemporaryDirectory() as tmp:
         ana = measure_analytics(args.repeats, Path(tmp))
     print("analytics: " + "  ".join(f"{k} {v:9.1f}" for k, v in ana.items() if k != "n"))
@@ -323,6 +384,7 @@ def main(argv: list[str] | None = None) -> Path:
                  "seed": args.seed},
         "context": _context(),
         "results": results,
+        "sweep": sweeps,
         "analytics": ana,
         "startup": startup,
     }

@@ -15,11 +15,15 @@ into a temporary directory, on:
   (``SWEEP_N50K``: N = 50000, gamma fractions 0.1 / 0.5 / 0.9, 2 trials,
   t_max 20, seed 2001), the only one whose sweep points share block draws at
   a large N,
+- ``sweep`` on ``SWEEP_SPLIT`` (N = 2000, one Na, gamma fractions 0 / 0.005
+  / 0.4 / 0.8, eps 0.05, 3 trials, t_max 60, seed 2002), whose points part
+  from one another at different iterations and whose trials stop early at
+  different iterations, unlike the shipped sweeps (eps = 0),
 - ``analytics`` with its defaults,
 
 and writes the digest of each file they write, keyed by
-``<command>_<config>/<file>`` (``sweep_n50k/<file>`` and
-``analytics/<file>`` for the last two).  Every run takes the seed its config
+``<command>_<config>/<file>`` (``sweep_n50k/<file>``, ``sweep_split/<file>``
+and ``analytics/<file>`` for the last three).  Every run takes the seed its config
 gives, so two trees that compute the same numbers write the same digests.
 ``--check FILE`` compares the digests with those FILE holds, lists every key
 whose digest differs (or that only one side has) and exits with status 1 if
@@ -61,6 +65,12 @@ SWEEP_N50K = {
     "experiment": {"n_block": 50000, "trials": 2, "seed": 2001},
     "sweep": [[0.1, 3, 50000], [0.5, 3, 50000], [0.9, 3, 50000]],
 }
+SWEEP_SPLIT = {
+    "channel": {"E": 10, "eta": 0.8, "Na": 3, "theta_deg": 30},
+    "algo": {"gamma_frac": 0.0, "lambda": 0.2, "eps": 0.05, "t_max": 60, "psi0_deg": 90},
+    "experiment": {"n_block": 2000, "trials": 3, "seed": 2002},
+    "sweep": [[0.0, 3, 2000], [0.005, 3, 2000], [0.4, 3, 2000], [0.8, 3, 2000]],
+}
 
 
 def digests(trials: int | None = None, t_max: int | None = None) -> dict[str, str]:
@@ -72,7 +82,8 @@ def digests(trials: int | None = None, t_max: int | None = None) -> dict[str, st
             commands = {"analytics": ["analytics"]}
             docs = [(f"{command}_{Path(name).stem}", command,
                      json.loads((CONFIGS / name).read_text())) for command, name in RUNS]
-            docs.append(("sweep_n50k", "sweep", json.loads(json.dumps(SWEEP_N50K))))
+            for label, doc in (("sweep_n50k", SWEEP_N50K), ("sweep_split", SWEEP_SPLIT)):
+                docs.append((label, "sweep", json.loads(json.dumps(doc))))
             for label, command, doc in docs:
                 if trials is not None:
                     doc["experiment"]["trials"] = trials
